@@ -12,8 +12,9 @@ import abc
 
 import numpy as np
 
+from repro.downstream._training import train_mlp
 from repro.nn import MLP as NNMLP
-from repro.nn import Adam, Tensor, grad, no_grad
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
 __all__ = ["Classifier", "MLPClassifier", "GaussianNaiveBayes",
@@ -68,19 +69,14 @@ class MLPClassifier(Classifier):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self._classes = np.unique(y)
-        index = {c: i for i, c in enumerate(self._classes)}
-        labels = np.array([index[v] for v in y])
+        onehot = np.eye(len(self._classes))[np.searchsorted(self._classes, y)]
         self._mean, self._std = _standardize_fit(x)
         xs = (x - self._mean) / self._std
         self._net = NNMLP(x.shape[1], list(self.hidden),
                           len(self._classes), rng=rng)
-        params = self._net.parameters()
-        optimizer = Adam(params, lr=self.learning_rate,
-                         betas=(0.9, 0.999))
-        for _ in range(self.iterations):
-            idx = rng.integers(0, len(xs), size=min(self.batch_size, len(xs)))
-            loss = F.cross_entropy(self._net(Tensor(xs[idx])), labels[idx])
-            optimizer.step(grad(loss, params))
+        train_mlp(self._net, xs, onehot, F.cross_entropy,
+                  iterations=self.iterations, batch_size=self.batch_size,
+                  learning_rate=self.learning_rate, rng=rng)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -146,13 +142,11 @@ class LogisticRegression(Classifier):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self._classes = np.unique(y)
-        index = {c: i for i, c in enumerate(self._classes)}
-        labels = np.array([index[v] for v in y])
         self._mean, self._std = _standardize_fit(x)
         xs = (x - self._mean) / self._std
         n, d = xs.shape
         k = len(self._classes)
-        onehot = np.eye(k)[labels]
+        onehot = np.eye(k)[np.searchsorted(self._classes, y)]
         self._weights = np.zeros((d, k))
         self._bias = np.zeros(k)
         for _ in range(self.iterations):
@@ -186,9 +180,8 @@ class DecisionTreeClassifier(Classifier):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         self._classes = np.unique(y)
-        index = {c: i for i, c in enumerate(self._classes)}
-        labels = np.array([index[v] for v in y])
-        self._tree = self._grow(x, labels, depth=0)
+        self._tree = self._grow(x, np.searchsorted(self._classes, y),
+                                depth=0)
         return self
 
     def _grow(self, x: np.ndarray, y: np.ndarray, depth: int):
@@ -206,31 +199,39 @@ class DecisionTreeClassifier(Classifier):
                 self._grow(x[~left], y[~left], depth + 1))
 
     def _best_split(self, x: np.ndarray, y: np.ndarray):
-        n, d = x.shape
+        """First (feature, threshold) of maximal positive Gini gain.
+
+        Scores every cut of every feature at once: a stable per-feature
+        sort, cumulative class counts, and the Gini gain of each cut, with
+        cuts between equal values or leaving a side smaller than
+        ``min_samples_leaf`` masked out.  Ties go to the lowest feature,
+        then the lowest cut, as a feature-major scan with strict ``>``
+        would pick.
+        """
+        n = len(y)
         k = len(self._classes)
-        best_gain, best = 0.0, (None, None)
         parent = _gini(np.bincount(y, minlength=k))
-        for j in range(d):
-            order = np.argsort(x[:, j], kind="mergesort")
-            xs, ys = x[order, j], y[order]
-            left_counts = np.zeros(k)
-            right_counts = np.bincount(ys, minlength=k).astype(np.float64)
-            for i in range(n - 1):
-                left_counts[ys[i]] += 1
-                right_counts[ys[i]] -= 1
-                if xs[i] == xs[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                if (n_left < self.min_samples_leaf
-                        or n_right < self.min_samples_leaf):
-                    continue
-                gain = parent - (n_left * _gini(left_counts)
-                                 + n_right * _gini(right_counts)) / n
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (j, (xs[i] + xs[i + 1]) / 2.0)
-        return best
+        order = np.argsort(x, axis=0, kind="mergesort")
+        xs = np.take_along_axis(x, order, axis=0)
+        # (d, n - 1, k) class counts left / right of each cut, exact in
+        # float64 so the Gini terms match a running-count scan bit for bit.
+        left = np.cumsum(np.eye(k)[y[order.T]], axis=1)[:, :-1]
+        right = np.bincount(y, minlength=k).astype(np.float64) - left
+        n_left = np.arange(1.0, n)
+        n_right = n - n_left
+        p_left = left / n_left[:, None]
+        p_right = right / n_right[:, None]
+        gini_left = 1.0 - (p_left * p_left).sum(axis=2)
+        gini_right = 1.0 - (p_right * p_right).sum(axis=2)
+        gain = parent - (n_left * gini_left + n_right * gini_right) / n
+        valid = ((xs[:-1] != xs[1:]).T
+                 & (n_left >= self.min_samples_leaf)
+                 & (n_right >= self.min_samples_leaf))
+        gain[~valid] = -np.inf
+        feature, cut = divmod(int(gain.argmax()), n - 1)
+        if not gain[feature, cut] > 0.0:
+            return None, None
+        return feature, (xs[cut, feature] + xs[cut + 1, feature]) / 2.0
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -12,8 +12,9 @@ import abc
 import numpy as np
 from scipy import linalg
 
+from repro.downstream._training import train_mlp
 from repro.nn import MLP as NNMLP
-from repro.nn import Adam, Tensor, grad, no_grad
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 
 __all__ = ["Regressor", "LinearRegressionModel", "KernelRidgeRegressor",
@@ -130,12 +131,9 @@ class MLPRegressor(Regressor):
         xs = (x - self._x_stats[0]) / self._x_stats[1]
         ys = (y - self._y_stats[0]) / self._y_stats[1]
         self._net = NNMLP(x.shape[1], list(self.hidden), y.shape[1], rng=rng)
-        params = self._net.parameters()
-        optimizer = Adam(params, lr=self.learning_rate, betas=(0.9, 0.999))
-        for _ in range(self.iterations):
-            idx = rng.integers(0, len(xs), size=min(self.batch_size, len(xs)))
-            loss = F.mse_loss(self._net(Tensor(xs[idx])), Tensor(ys[idx]))
-            optimizer.step(grad(loss, params))
+        train_mlp(self._net, xs, ys, F.mse_loss,
+                  iterations=self.iterations, batch_size=self.batch_size,
+                  learning_rate=self.learning_rate, rng=rng)
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -52,8 +52,12 @@ def average_autocorrelation(features: np.ndarray,
         series_autocorrelation(features[i, :lengths[i]], max_lag)
         for i in range(n)
     ])
+    # np.nanmean's arithmetic, spelled out: a lag no series reaches is
+    # 0 / 0 = NaN, where nanmean would also warn "Mean of empty slice".
+    missing = np.isnan(acfs)
+    totals = np.where(missing, 0.0, acfs).sum(axis=0)
     with np.errstate(invalid="ignore"):
-        return np.nanmean(acfs, axis=0)
+        return totals / (~missing).sum(axis=0)
 
 
 def autocorrelation_mse(real_acf: np.ndarray,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn import ops
 from repro.nn.tensor import Tensor, astensor
 
@@ -61,13 +59,16 @@ def gradient_penalty_norm(gradients, batch_axis: int = 0) -> Tensor:
     return l2_norm(flat, axis=1)
 
 
-def cross_entropy(logits, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer ``labels`` under ``logits`` (B, C)."""
-    logits = astensor(logits)
-    logp = log_softmax(logits, axis=-1)
-    batch = logits.shape[0]
-    picked = logp[np.arange(batch), np.asarray(labels, dtype=np.intp)]
-    return -picked.mean()
+def cross_entropy(logits, targets) -> Tensor:
+    """Mean cross-entropy of one-hot ``targets`` under ``logits`` (B, C).
+
+    Spelled as a masked row sum rather than an integer gather so the plan
+    tracer sees the targets consumed by a recorded op (a training step
+    that uses it compiles).  Each row sum has a single non-zero term, so
+    the loss and its gradient equal the gathered form bit for bit.
+    """
+    logp = log_softmax(astensor(logits), axis=-1)
+    return -(logp * astensor(targets)).sum(axis=1).mean()
 
 
 def binary_cross_entropy_with_logits(logits, targets) -> Tensor:

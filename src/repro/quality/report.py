@@ -50,7 +50,8 @@ from repro.data.dataset import TimeSeriesDataset, padding_mask
 from repro.metrics import (autocorrelation_mse, average_autocorrelation,
                            categorical_jsd, conditional_w1,
                            cross_correlation_error, diversity_score,
-                           memorization_ratio, mode_coverage, wasserstein1)
+                           memorization_ratio, mode_coverage,
+                           per_object_statistic, wasserstein1)
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 
@@ -299,7 +300,6 @@ class QualityReport:
                 macro = cond["__macro__"]
                 if macro != macro:  # NaN: no category had enough samples
                     continue
-                from repro.metrics import per_object_statistic
                 stat = per_object_statistic(real, feat.name, "sum")
                 scale = float(stat.std())
                 if scale <= 0:

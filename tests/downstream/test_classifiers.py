@@ -88,6 +88,57 @@ class TestDecisionTree:
         assert tree._tree[0] == "leaf"
 
 
+def _scan_best_split(tree, x, y):
+    """Reference CART split search: a running-count scan over every cut of
+    every feature, keeping the first strictly better Gini gain."""
+    n, d = x.shape
+    k = len(tree._classes)
+
+    def gini(counts):
+        p = counts / counts.sum()
+        return float(1.0 - (p * p).sum())
+
+    best_gain, best = 0.0, (None, None)
+    parent = gini(np.bincount(y, minlength=k))
+    for j in range(d):
+        order = np.argsort(x[:, j], kind="mergesort")
+        xs, ys = x[order, j], y[order]
+        left = np.zeros(k)
+        right = np.bincount(ys, minlength=k).astype(np.float64)
+        for i in range(n - 1):
+            left[ys[i]] += 1
+            right[ys[i]] -= 1
+            n_left, n_right = i + 1, n - i - 1
+            if (xs[i] == xs[i + 1] or n_left < tree.min_samples_leaf
+                    or n_right < tree.min_samples_leaf):
+                continue
+            gain = parent - (n_left * gini(left) + n_right * gini(right)) / n
+            if gain > best_gain:
+                best_gain, best = gain, (j, (xs[i] + xs[i + 1]) / 2.0)
+    return best
+
+
+class TestBestSplit:
+    """The vectorised split search picks exactly what the scan picks."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        k = int(rng.integers(1, 11))
+        # Few distinct values -> many ties and equal-gain cuts; some draws
+        # leave no valid cut at all.
+        x = rng.integers(0, int(rng.integers(1, 6)),
+                         size=(n, int(rng.integers(1, 6)))).astype(float)
+        y = rng.integers(0, k, size=n)
+        tree = DecisionTreeClassifier(
+            min_samples_leaf=int(rng.integers(1, 6)))
+        tree._classes = np.arange(k)
+        got = tree._best_split(x, y)
+        want = _scan_best_split(tree, x, y)
+        assert repr(got) == repr(want)
+
+
 class TestNaiveBayes:
     def test_uses_priors(self):
         """With identical likelihoods, the majority class wins."""

@@ -1,5 +1,7 @@
 """Tests for autocorrelation metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ class TestAverageAutocorrelation:
                           np.sin(np.arange(20.0))])
         acf = average_autocorrelation(batch, max_lag=5)
         assert np.isfinite(acf).all()  # constant row ignored via nanmean
+
+    def test_unreached_lags_are_nan_without_warning(self):
+        """Lags past every series' length average to NaN silently."""
+        batch = np.sin(np.arange(30.0)).reshape(3, 10)
+        lengths = np.array([3, 4, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acf = average_autocorrelation(batch, lengths, max_lag=6)
+        assert np.isfinite(acf[:4]).all()
+        assert np.isnan(acf[4:]).all()
+        acfs = [series_autocorrelation(row[:n], 6)
+                for row, n in zip(batch, lengths)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.nanmean(acfs, axis=0)
+        assert acf.tobytes() == expected.tobytes()
 
 
 class TestAutocorrelationMSE:

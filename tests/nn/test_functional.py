@@ -56,25 +56,37 @@ class TestLogSoftmax:
 class TestCrossEntropy:
     def test_uniform_logits_give_log_k(self):
         logits = Tensor(np.zeros((3, 5)))
-        loss = F.cross_entropy(logits, np.array([0, 1, 2]))
+        loss = F.cross_entropy(logits, np.eye(5)[[0, 1, 2]])
         assert np.isclose(loss.item(), np.log(5))
 
     def test_perfect_prediction_near_zero(self):
         logits = np.full((2, 3), -100.0)
         logits[0, 1] = 100.0
         logits[1, 2] = 100.0
-        loss = F.cross_entropy(Tensor(logits), np.array([1, 2]))
+        loss = F.cross_entropy(Tensor(logits), np.eye(3)[[1, 2]])
         assert loss.item() < 1e-8
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = RNG.normal(size=(4, 3))
         labels = np.array([0, 1, 2, 0])
+        onehot = np.eye(3)[labels]
         t = Tensor(logits.copy(), requires_grad=True)
-        (g,) = grad(F.cross_entropy(t, labels), [t])
+        (g,) = grad(F.cross_entropy(t, onehot), [t])
         p = np.exp(logits - logits.max(1, keepdims=True))
         p /= p.sum(1, keepdims=True)
-        onehot = np.eye(3)[labels]
         assert np.allclose(g.data, (p - onehot) / 4, atol=1e-10)
+
+    def test_one_hot_equals_gathered_form_bitwise(self):
+        logits = RNG.normal(size=(32, 6)) * 40.0
+        labels = RNG.integers(0, 6, size=32)
+        t = Tensor(logits, requires_grad=True)
+        loss = F.cross_entropy(t, np.eye(6)[labels])
+        (g,) = grad(loss, [t])
+        u = Tensor(logits, requires_grad=True)
+        gathered = -F.log_softmax(u)[np.arange(32), labels].mean()
+        (h,) = grad(gathered, [u])
+        assert loss.data.tobytes() == gathered.data.tobytes()
+        assert g.data.tobytes() == h.data.tobytes()
 
 
 class TestMSE:
