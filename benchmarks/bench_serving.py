@@ -35,12 +35,11 @@ def test_serving_throughput_and_identity(tmp_path):
     result = run_serving_benchmark(
         smoke=True, output=tmp_path / "BENCH_serving.json")
     assert result["served_identical"]
-    # The 2.75x in the originally committed BENCH_serving.json came from
-    # a host where batch-size-1 serving ran ~58 req/s; current hosts run
-    # it ~100 req/s, which compresses the ratio to ~1.6-1.8x even on an
-    # unmodified tree.  The bar guards "batching still wins", not an
-    # exact ratio.
-    assert result["throughput_speedup"] >= 1.4
+    # Batched serving used to sit under a ~40 ms Nagle/delayed-ACK stall
+    # on every response over 8 KiB, which compressed this ratio to
+    # ~1.3-2.1x; with TCP_NODELAY on every serving socket the smoke size
+    # measures ~2.3-2.8x (2-core host).
+    assert result["throughput_speedup"] >= 2.0
     assert all(row["served_identical"]
                for row in result["fleet"]["per_replica_count"])
     reference = COMMITTED if COMMITTED.exists() else None

@@ -12,6 +12,9 @@ model, exercising every contract docs/serving.md promises:
 3. **Graceful drain** -- a shutdown issued while a request is in flight
    must complete that request, deliver its (still byte-identical)
    response, and only then refuse new connections.
+4. **Stage telemetry** -- ``repro.cli serve --telemetry`` must report
+   every ``serve.stage_seconds.<stage>`` histogram in its ``stats``
+   response once it has served a ``generate``.
 
 Exits non-zero on any violation.  Run::
 
@@ -20,7 +23,9 @@ Exits non-zero on any violation.  Run::
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
 import time
 import sys
 import tempfile
@@ -31,7 +36,7 @@ import numpy as np
 from repro.serve import (GenerationService, ModelRegistry, ServeClient,
                         ServerBusy, Server)
 from repro.serve.bench import train_tiny_model
-from repro.serve.protocol import dataset_to_bytes
+from repro.serve.protocol import SERVE_STAGES, dataset_to_bytes
 
 
 def fail(message: str) -> None:
@@ -153,6 +158,48 @@ def check_shed_and_drain(model) -> None:
         del model._generate_block
 
 
+def check_stage_telemetry(registry_root: str, workdir: str) -> None:
+    """Serve the registry through the CLI with --telemetry; its stats
+    must carry every stage histogram after two generates."""
+    port_file = os.path.join(workdir, "port.txt")
+    stop_file = os.path.join(workdir, "stop.txt")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--registry",
+         registry_root, "--port", "0", "--port-file", port_file,
+         "--stop-file", stop_file, "--telemetry",
+         os.path.join(workdir, "telemetry")],
+        stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not os.path.exists(port_file):
+            if server.poll() is not None or time.monotonic() > deadline:
+                fail("CLI server never published its port")
+            time.sleep(0.05)
+        with open(port_file, encoding="utf-8") as handle:
+            port = int(handle.read())
+        with ServeClient("127.0.0.1", port, timeout=60) as client:
+            for seed in range(2):
+                client.generate("tiny", 14, seed=seed)
+            histograms = client.stats().get("metrics", {}).get(
+                "histograms", {})
+        missing = [stage for stage in SERVE_STAGES
+                   if histograms.get(f"serve.stage_seconds.{stage}",
+                                     {}).get("count", 0) < 1]
+        if missing:
+            fail(f"stats under --telemetry lacks stage histograms "
+                 f"{missing}")
+    finally:
+        with open(stop_file, "w", encoding="utf-8"):
+            pass
+        try:
+            server.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            server.kill()
+            fail("CLI server did not drain on its stop file")
+    print(f"[serving_smoke] telemetry: stats reports all "
+          f"{len(SERVE_STAGES)} stage histograms")
+
+
 def main() -> None:
     print("[serving_smoke] training TINY model...")
     model = train_tiny_model()
@@ -168,6 +215,8 @@ def main() -> None:
                 if not client.ping():
                     fail("ping failed")
             check_identity(registry.load("tiny"), host, port)
+        with tempfile.TemporaryDirectory() as workdir:
+            check_stage_telemetry(root, workdir)
     check_shed_and_drain(model)
     print("[serving_smoke] OK")
 

@@ -280,8 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=0,
                      help="0 binds an ephemeral port (printed, and "
                           "written to --port-file)")
-    srv.add_argument("--batch-wait-ms", type=float, default=2.0,
-                     help="micro-batch flush deadline")
+    srv.add_argument("--batch-wait-ms", type=float, default=0.0,
+                     help="hold a partial micro-batch open up to this "
+                          "long for more requests (default 0: run "
+                          "whatever is queued at once)")
     srv.add_argument("--batch-rows", type=int, default=None,
                      help="rows per execution bundle (default: the "
                           "model's batch_size -- the only value that "

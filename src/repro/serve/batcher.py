@@ -20,11 +20,12 @@ request's own seeded rng in plan order), and coalescing happens at the
 *block* level -- many requests' blocks execute back-to-back in one worker
 wake-up, on one thread, against one model.
 
-**Deadline-based flush.**  The worker assembles a bundle of up to
-``max_batch_rows`` queued rows; when fewer are waiting it holds the
-bundle open for at most ``max_wait_ms`` (measured from the oldest queued
-block) before flushing what it has, so light traffic pays bounded latency
-and heavy traffic gets full bundles.
+**Work-conserving flush.**  The worker assembles a bundle of up to
+``max_batch_rows`` queued rows and runs it as soon as it wakes.  An
+optional ``max_wait_ms`` deadline (measured from the oldest queued block)
+holds a partial bundle open instead; it is off by default because rows
+are never merged across requests, so holding a bundle saves at most a
+worker wake-up and never a model pass.
 
 **Bounded admission.**  ``submit`` rejects with :class:`QueueFull` once
 ``max_queue_rows`` rows are queued -- requests are shed at the door with
@@ -54,7 +55,7 @@ from repro.observability import metrics as obs_metrics
 from repro.observability.metrics import LATENCY_BUCKETS
 from repro.parallel.generation import plan_request
 
-__all__ = ["MicroBatcher", "QueueFull", "BatcherClosed"]
+__all__ = ["MicroBatcher", "QueueFull", "BatcherClosed", "StagedFuture"]
 
 
 class QueueFull(RuntimeError):
@@ -69,6 +70,17 @@ class BatcherClosed(RuntimeError):
     code = "shutting_down"
 
 
+class StagedFuture(Future):
+    """A request's Future plus ``stages``: the seconds the worker spent on
+    it, keyed ``queue`` (admission to its bundle's start), ``model`` (its
+    blocks' passes) and ``assemble`` (decoding the concatenated blocks).
+    Filled in before the Future resolves."""
+
+    def __init__(self):
+        super().__init__()
+        self.stages: dict[str, float] = {}
+
+
 @dataclass
 class _Pending:
     """One admitted request and its partially filled output."""
@@ -77,7 +89,7 @@ class _Pending:
     future: Future
     parts: list  # (attrs, minmax, features) triple per block, plan order
     remaining: int  # blocks still to execute
-    enqueued: float  # monotonic admission time
+    enqueued: float = 0.0  # perf_counter time of the queue insert
     rows_done: int = 0
 
 
@@ -115,7 +127,8 @@ class MicroBatcher:
             served-equals-direct determinism contract.  ``1`` is the
             degraded per-sample mode benchmarked as "batching off".
         max_wait_ms: Deadline for flushing a partial bundle, measured
-            from the oldest queued block's admission.
+            from the oldest queued block's admission.  ``0`` (default)
+            flushes whatever is queued as soon as the worker wakes.
         max_queue_rows: Admission bound; ``submit`` beyond it raises
             :class:`QueueFull`.
         name: Label used in thread names and error messages.
@@ -125,7 +138,7 @@ class MicroBatcher:
     OPAQUE_BATCH_ROWS = 64
 
     def __init__(self, model, *, max_batch_rows: int | None = None,
-                 max_wait_ms: float = 2.0, max_queue_rows: int = 4096,
+                 max_wait_ms: float = 0.0, max_queue_rows: int = 4096,
                  name: str = "model"):
         if max_batch_rows is not None and max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
@@ -170,11 +183,12 @@ class MicroBatcher:
         return self.plan_rows == int(self.model.config.batch_size)
 
     # -- admission -----------------------------------------------------------
-    def submit(self, n: int, seed: int) -> Future:
+    def submit(self, n: int, seed: int) -> StagedFuture:
         """Admit a ``generate(n, seed)`` request; returns its Future.
 
         The Future resolves to a
-        :class:`~repro.data.dataset.TimeSeriesDataset`.  Raises
+        :class:`~repro.data.dataset.TimeSeriesDataset` and carries the
+        request's stage timings (:class:`StagedFuture`).  Raises
         :class:`QueueFull` when admission would exceed
         ``max_queue_rows`` and :class:`BatcherClosed` after
         :meth:`close`.
@@ -194,11 +208,10 @@ class MicroBatcher:
             # Opaque mode: the whole request is one executable unit,
             # carrying its seed instead of pre-drawn noise.
             blocks = [(n, (int(seed),), None)] if n else []
-        future: Future = Future()
+        future = StagedFuture()
         pending = _Pending(n=n, future=future,
                            parts=[None] * len(blocks),
-                           remaining=len(blocks),
-                           enqueued=time.monotonic())
+                           remaining=len(blocks))
         with self._lock:
             if self._closed:
                 raise BatcherClosed(
@@ -219,6 +232,7 @@ class MicroBatcher:
                                           size=size, noise=noise,
                                           cond=cond))
             self._queued_rows += n
+            pending.enqueued = time.perf_counter()
             obs_metrics.gauge("serve.queue_rows").set(self._queued_rows)
             self._work.notify()
         return future
@@ -247,7 +261,7 @@ class MicroBatcher:
                     # how long any queued request can be held.
                     deadline = (self._queue[0].pending.enqueued
                                 + self.max_wait_ms / 1000.0)
-                    remaining = deadline - time.monotonic()
+                    remaining = deadline - time.perf_counter()
                     if remaining <= 0:
                         break
                     self._work.wait(timeout=remaining)
@@ -297,11 +311,16 @@ class MicroBatcher:
             bundle = self._take_bundle()
             if bundle is None:
                 return
+            bundle_started = time.perf_counter()
             finished: list[_Pending] = []
             for block in bundle.blocks:
                 pending = block.pending
                 if pending.future.done():  # failed or cancelled earlier
                     continue
+                stages = pending.future.stages
+                if block.index == 0:
+                    stages["queue"] = bundle_started - pending.enqueued
+                started = time.perf_counter()
                 try:
                     if self._block_mode:
                         part = self.model._generate_block(block.size,
@@ -314,19 +333,24 @@ class MicroBatcher:
                 except BaseException as exc:  # surface, don't kill worker
                     self._settle(pending.future, exc=exc)
                     continue
+                stages["model"] = (stages.get("model", 0.0)
+                                   + time.perf_counter() - started)
                 pending.parts[block.index] = part
                 pending.rows_done += block.size
                 pending.remaining -= 1
                 if pending.remaining == 0:
                     finished.append(pending)
-            now = time.monotonic()
             for pending in finished:
+                started = time.perf_counter()
                 try:
                     result = self._assemble(pending)
                 except BaseException as exc:
                     self._settle(pending.future, exc=exc)
-                else:
-                    self._settle(pending.future, result=result)
+                    continue
+                pending.future.stages["assemble"] = \
+                    time.perf_counter() - started
+                self._settle(pending.future, result=result)
+            now = time.perf_counter()
             with self._lock:
                 self._queued_rows -= bundle.rows
                 obs_metrics.gauge("serve.queue_rows").set(

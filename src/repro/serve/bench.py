@@ -174,7 +174,7 @@ def _identity_check(model, spec: str, n: int, seed: int) -> bool:
 def run_serving_benchmark(model: DoppelGANger | None = None, *,
                           concurrency: int = 8,
                           requests_per_client: int = 8,
-                          n: int = 16, max_wait_ms: float = 2.0,
+                          n: int = 16, max_wait_ms: float = 0.0,
                           fleet_concurrency: int = 32,
                           fleet_replica_counts=(1, 2, 4),
                           output: Path | str | None = DEFAULT_OUTPUT,

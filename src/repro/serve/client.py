@@ -186,6 +186,7 @@ class _ClientOps:
 class ServeClient(_ClientOps):
     """A blocking client over one TCP connection (reusable, sequential).
 
+    The socket has ``TCP_NODELAY`` set, like every server-side socket.
     ``timeout`` bounds the connect *and* every subsequent read;
     ``connect_retries`` extra connection attempts ride out a server
     still binding its port (deterministic backoff, no wall-clock
@@ -216,6 +217,10 @@ class ServeClient(_ClientOps):
         # create_connection leaves the timeout on the socket, so reads
         # (and writes) inherit the same bound as the connect.
         self._sock.settimeout(self._timeout)
+        # A request frame bigger than the buffered writer (a submit's
+        # dataset) leaves as two sends; without NODELAY the second waits
+        # out the server's delayed ACK.  See Server.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
 

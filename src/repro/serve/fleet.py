@@ -400,7 +400,7 @@ class Fleet:
                  quota_burst: int | None = None,
                  request_timeout: float = 60.0,
                  max_batch_rows: int | None = None,
-                 max_wait_ms: float = 2.0,
+                 max_wait_ms: float = 0.0,
                  max_queue_rows: int = 4096,
                  max_request_n: int = DEFAULT_MAX_REQUEST_N,
                  respawn_policy: RetryPolicy | None = None,
@@ -620,32 +620,28 @@ class Fleet:
         return ordered
 
     def _forward(self, handle: ReplicaHandle, header: dict,
-                 payload: bytes) -> tuple[dict, bytes]:
-        """One attempt on one replica; raises ServeError on transport
-        failure (the caller suspects the replica and retries)."""
+                 payload: bytes) -> tuple[dict, bytes, float]:
+        """One attempt on one replica; returns the response and the
+        seconds spent in the replica round trip.  Raises ServeError on
+        transport failure (the caller suspects the replica and
+        retries)."""
         client = handle.borrow(timeout=self.request_timeout)
+        started = time.perf_counter()
         try:
             response, body = client._call(header, payload)
         except ServeError:
             client.close()
             raise
+        elapsed = time.perf_counter() - started
         handle.give_back(client)
-        return response, body
+        return response, body, elapsed
 
     def _route_generate(self, header: dict) -> tuple[dict, bytes]:
-        spec = header.get("model")
-        n, seed = header.get("n"), header.get("seed", 0)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n must be a non-negative integer, "
-                               f"got {n!r}")
-        if n > self.max_request_n:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n={n} exceeds the per-request cap of "
-                               f"{self.max_request_n}; split the request")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"seed must be an integer, got {seed!r}")
+        started = time.perf_counter()
+        checked = protocol.validate_generate(header, self.max_request_n)
+        if isinstance(checked, str):
+            return self._error(protocol.ERR_BAD_REQUEST, checked)
+        spec, n, seed = checked
         if not self.quotas.allow(header.get("client")):
             with self._totals_lock:
                 self.totals["rate_limited"] += 1
@@ -662,13 +658,14 @@ class Fleet:
 
         forwarded = {"op": "generate", "model": canonical,
                      "n": int(n), "seed": int(seed)}
+        validated = time.perf_counter()
         preferred = route_index(canonical, n, seed, self.replicas)
         last_error = "no healthy replica"
         for attempt in range(1, self.respawn_policy.max_attempts + 1):
             for handle in self._healthy_order(preferred):
                 try:
-                    response, body = self._forward(handle, forwarded,
-                                                   b"")
+                    response, body, forward = self._forward(
+                        handle, forwarded, b"")
                 except ServeError as exc:
                     self._mark_suspect(handle)
                     self._note_retry(handle, exc.code)
@@ -683,6 +680,12 @@ class Fleet:
                 with self._totals_lock:
                     self.totals["routed"] += 1
                 obs_metrics.counter("fleet.routed").inc()
+                # route: replica choice, client borrow and failed
+                # attempts; forward: the answering round trip.
+                protocol.observe_stages(
+                    "fleet", validate=validated - started,
+                    route=time.perf_counter() - validated - forward,
+                    forward=forward)
                 return response, body
             # No healthy replica produced an answer this pass; give the
             # supervisor a deterministic beat to respawn one.
@@ -747,9 +750,13 @@ class Fleet:
         with self._alias_lock:
             return dict(self.aliases)
 
-    def handle(self, header: dict, payload: bytes = b""
-               ) -> tuple[dict, bytes]:
-        """Serve one request (the same contract as GenerationService)."""
+    def handle(self, header: dict, payload: bytes = b"",
+               stages: dict | None = None) -> tuple[dict, bytes]:
+        """Serve one request (the same contract as GenerationService).
+
+        ``stages`` is left empty: the replicas time their own stages,
+        and the router observes ``fleet.stage_seconds.*`` itself.
+        """
         with self._inflight_cv:
             if self._closing:
                 return self._error(protocol.ERR_SHUTTING_DOWN,
@@ -770,7 +777,10 @@ class Fleet:
         if op == "models":
             return {"status": "ok", "models": self.describe()}, b""
         if op in ("stats", "fleet_status"):
-            return {"status": "ok", "fleet": self.fleet_status()}, b""
+            info = {"status": "ok", "fleet": self.fleet_status()}
+            if op == "stats" and obs_metrics.enabled():
+                info["metrics"] = obs_metrics.current().dump()
+            return info, b""
         if op == "reload":
             return {"status": "ok", "aliases": self.reload()}, b""
         if op == "generate":

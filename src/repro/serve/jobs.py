@@ -348,10 +348,11 @@ class JobSupervisor:
             (deterministic; see :class:`~repro.resilience.retry.RetryPolicy`).
             A job's total launch budget is its record's ``max_attempts``.
         poll_interval: Supervisor loop cadence in seconds.
-        on_publish: Optional ``on_publish(record)`` hook fired after a
+        on_publish: Optional ``on_publish(record)`` hook fired when a
             job completes, with the publish receipt already on the
-            record -- the serving layer uses it to hot-load the new
-            model so ``generate`` picks it up immediately.
+            record and before the completed state is persisted -- the
+            serving layer uses it to hot-load the new model so
+            ``generate`` picks it up immediately.
     """
 
     def __init__(self, store: JobStore, registry_root: str | os.PathLike,
@@ -568,8 +569,8 @@ class JobSupervisor:
         record.state = "completed"
         record.result = dict(result)
         record.error = None
-        self.store.update(record)
-        obs_metrics.counter("jobs.completed").inc()
+        # Hot-load before the completed state is persisted, so a client
+        # that reads "completed" can generate from the model at once.
         if self.on_publish is not None:
             try:
                 self.on_publish(record)
@@ -577,6 +578,8 @@ class JobSupervisor:
                 # Serving hot-load is best-effort; the registry holds
                 # the published model either way.
                 pass
+        self.store.update(record)
+        obs_metrics.counter("jobs.completed").inc()
 
     def _close_log(self, job_id: str) -> None:
         log = self._logs.pop(job_id, None)

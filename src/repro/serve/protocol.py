@@ -35,6 +35,10 @@ machine-readable code instead of a raw socket exception:
 - ``timeout`` -- connect or read exceeded the client's timeout.
 - ``connection`` -- the connection was refused, reset, or closed
   mid-request.
+
+Every ``generate`` is checked by :func:`validate_generate`, whether a
+single server or a fleet router receives it, and served requests time
+their stages through :func:`observe_stages`.
 """
 
 from __future__ import annotations
@@ -42,12 +46,18 @@ from __future__ import annotations
 import io
 import json
 import struct
+import threading
+import time
 
 from repro.data.dataset import TimeSeriesDataset
+from repro.observability import metrics as obs_metrics
+from repro.observability.metrics import LATENCY_BUCKETS
 
 __all__ = ["MAGIC", "VERSION", "MAX_HEADER_BYTES", "MAX_PAYLOAD_BYTES",
            "ProtocolError", "write_message", "read_message",
-           "dataset_to_bytes", "dataset_from_bytes",
+           "read_message_timed", "dataset_to_bytes", "dataset_from_bytes",
+           "validate_generate", "observe_stages", "SERVE_STAGES",
+           "FLEET_STAGES",
            "ERR_BUSY", "ERR_SHUTTING_DOWN", "ERR_MODEL_NOT_FOUND",
            "ERR_BAD_REQUEST", "ERR_INTERNAL", "ERR_JOB_NOT_FOUND",
            "ERR_JOBS_DISABLED", "ERR_RATE_LIMITED", "ERR_TIMEOUT",
@@ -112,9 +122,17 @@ def read_message(rfile) -> tuple[dict, bytes]:
     Raises :class:`EOFError` on a clean end-of-stream before any byte of
     a frame, and :class:`ProtocolError` on anything malformed.
     """
+    header, payload, _ = read_message_timed(rfile)
+    return header, payload
+
+
+def read_message_timed(rfile) -> tuple[dict, bytes, float]:
+    """:func:`read_message` plus the ``time.perf_counter()`` at which the
+    frame's first byte arrived (servers time a request from there)."""
     first = rfile.read(1)
     if not first:
         raise EOFError("end of stream")
+    arrived = time.perf_counter()
     prefix = first + _read_exact(rfile, _PREFIX.size - 1, "frame prefix")
     magic, version, head_len, payload_len = _PREFIX.unpack(prefix)
     if magic != MAGIC:
@@ -138,7 +156,62 @@ def read_message(rfile) -> tuple[dict, bytes]:
         raise ProtocolError("header must be a JSON object")
     payload = _read_exact(rfile, payload_len, "payload") \
         if payload_len else b""
-    return header, payload
+    return header, payload, arrived
+
+
+# -- requests ----------------------------------------------------------------
+
+def validate_generate(header: dict, max_request_n: int):
+    """Check a ``generate`` header's ``n`` and ``seed``.
+
+    Returns ``(spec, n, seed)``, or the ``bad_request`` message when ``n``
+    is not a non-negative integer, exceeds ``max_request_n``, or the seed
+    is not a non-negative integer.  ``seed`` defaults to 0; ``spec`` is
+    returned unchecked (model lookup reports unknown specs).
+    """
+    spec = header.get("model")
+    n, seed = header.get("n"), header.get("seed", 0)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        return f"n must be a non-negative integer, got {n!r}"
+    if n > max_request_n:
+        return (f"n={n} exceeds the per-request cap of {max_request_n}; "
+                f"split the request")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        return f"seed must be an integer, got {seed!r}"
+    if seed < 0:  # numpy's default_rng rejects negative seeds
+        return f"seed must be non-negative, got {seed!r}"
+    return spec, n, seed
+
+
+#: Stages a replica times for each served ``generate``, in order:
+#: frame read, validation + planning + queue insert, wait for the worker,
+#: model passes, decoding, npz encoding, response write.
+SERVE_STAGES = ("read", "admit", "queue", "model", "assemble", "encode",
+                "write")
+#: Stages a fleet router times for each routed ``generate``.
+FLEET_STAGES = ("validate", "route", "forward")
+
+# Histograms are not thread-safe, and every connection's handler thread
+# observes its own requests' stages.
+_STAGE_LOCK = threading.Lock()
+
+
+def observe_stages(prefix: str, request: float | None = None,
+                   **seconds: float) -> None:
+    """Observe each ``stage=seconds`` on the current metrics registry's
+    ``<prefix>.stage_seconds.<stage>`` histogram, and ``request`` (the
+    whole request's seconds) on ``<prefix>.request_seconds``; all on
+    ``LATENCY_BUCKETS``.  A no-op when no metrics scope is installed.
+    """
+    if not obs_metrics.enabled():
+        return
+    with _STAGE_LOCK:
+        for stage, value in seconds.items():
+            obs_metrics.histogram(f"{prefix}.stage_seconds.{stage}",
+                                  LATENCY_BUCKETS).observe(value)
+        if request is not None:
+            obs_metrics.histogram(f"{prefix}.request_seconds",
+                                  LATENCY_BUCKETS).observe(request)
 
 
 # -- payload codecs ----------------------------------------------------------

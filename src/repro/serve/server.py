@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 from repro.observability import metrics as obs_metrics
 from repro.serve import protocol
@@ -58,7 +59,7 @@ class GenerationService:
 
     def __init__(self, models: dict, aliases: dict | None = None, *,
                  max_batch_rows: int | None = None,
-                 max_wait_ms: float = 2.0, max_queue_rows: int = 4096,
+                 max_wait_ms: float = 0.0, max_queue_rows: int = 4096,
                  max_request_n: int = DEFAULT_MAX_REQUEST_N,
                  registry: ModelRegistry | None = None):
         self._batcher_kwargs = dict(max_batch_rows=max_batch_rows,
@@ -187,14 +188,19 @@ class GenerationService:
                                            if c == spec)})
         return rows
 
-    def handle(self, header: dict, payload: bytes = b""
-               ) -> tuple[dict, bytes]:
+    def handle(self, header: dict, payload: bytes = b"",
+               stages: dict | None = None) -> tuple[dict, bytes]:
         """Serve one request; returns ``(header, payload)``.
 
         Never raises for request-level problems -- they become
         well-formed error responses.  This is the single entry point for
         every transport (sockets, in-process).  ``payload`` carries the
         training dataset of a ``submit``; every other op ignores it.
+
+        A ``generate`` stores the seconds of its stages (``admit``,
+        ``queue``, ``model``, ``assemble``, ``encode``) in ``stages``
+        when given; :class:`Server` observes them, with ``read`` and
+        ``write``, once the response is written.
         """
         op = header.get("op")
         if op == "ping":
@@ -217,19 +223,12 @@ class GenerationService:
                                f"models, generate, stats, submit, "
                                f"status, cancel, or jobs)")
 
-        spec = header.get("model")
-        n, seed = header.get("n"), header.get("seed", 0)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n must be a non-negative integer, "
-                               f"got {n!r}")
-        if n > self.max_request_n:
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"n={n} exceeds the per-request cap of "
-                               f"{self.max_request_n}; split the request")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            return self._error(protocol.ERR_BAD_REQUEST,
-                               f"seed must be an integer, got {seed!r}")
+        stages = {} if stages is None else stages
+        started = time.perf_counter()
+        checked = protocol.validate_generate(header, self.max_request_n)
+        if isinstance(checked, str):
+            return self._error(protocol.ERR_BAD_REQUEST, checked)
+        spec, n, seed = checked
         # lookup + submit retries: a lazily-loading service (the fleet's
         # ReplicaService) may evict-and-close the looked-up batcher from
         # another thread between lookup and submit; re-looking-up
@@ -257,6 +256,7 @@ class GenerationService:
             return self._error(protocol.ERR_INTERNAL,
                                f"model {spec!r} kept closing during "
                                f"admission (eviction thrash)")
+        stages["admit"] = time.perf_counter() - started
         try:
             dataset = future.result()
         except BatcherClosed as exc:
@@ -264,7 +264,10 @@ class GenerationService:
         except Exception as exc:
             return self._error(protocol.ERR_INTERNAL,
                                f"generation failed: {exc}")
+        stages.update(future.stages)
+        started = time.perf_counter()
         payload = protocol.dataset_to_bytes(dataset)
+        stages["encode"] = time.perf_counter() - started
         return {"status": "ok", "n": n, "seed": seed,
                 "model": self.aliases.get(str(spec), str(spec)),
                 "payload_bytes": len(payload)}, payload
@@ -380,6 +383,11 @@ class Server:
 
     ``port=0`` binds an ephemeral port; the bound address is available as
     :attr:`address` immediately after construction.
+
+    Every accepted connection gets ``TCP_NODELAY``: a response larger
+    than the buffered writer's 8 KiB leaves as two sends, and with
+    Nagle's algorithm on the second waits for the peer's delayed ACK of
+    the first (~40 ms on Linux) -- most of a small request's latency.
     """
 
     def __init__(self, service: GenerationService,
@@ -393,8 +401,9 @@ class Server:
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._closing = False
         self._conn_lock = threading.Lock()
-        self._conns: dict[int, socket.socket] = {}
-        self._threads: list[threading.Thread] = []
+        # Live connections and their handler threads; each handler drops
+        # its own entry when it exits.
+        self._threads: dict[socket.socket, threading.Thread] = {}
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept",
             daemon=True)
@@ -411,26 +420,28 @@ class Server:
                 if self._closing:
                     conn.close()
                     continue
-                self._conns[conn.fileno()] = conn
                 thread = threading.Thread(
                     target=self._serve_connection, args=(conn,),
                     name=f"repro-serve-conn-{conn.fileno()}", daemon=True)
-                self._threads.append(thread)
+                self._threads[conn] = thread
             obs_metrics.counter("serve.connections").inc()
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        key = conn.fileno()
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
-                    header, request_payload = protocol.read_message(rfile)
+                    header, request_payload, arrived = \
+                        protocol.read_message_timed(rfile)
                 except EOFError:
                     return
                 except (protocol.ProtocolError, OSError):
                     return  # drop malformed/broken connections
+                read = time.perf_counter()
+                stages: dict[str, float] = {}
                 if self._closing:
                     response, payload = (
                         {"status": "error",
@@ -438,23 +449,30 @@ class Server:
                          "error": "server is draining"}, b"")
                 else:
                     response, payload = self.service.handle(
-                        header, request_payload)
+                        header, request_payload, stages)
+                started = time.perf_counter()
                 try:
                     protocol.write_message(wfile, response, payload)
                 except (OSError, ValueError):
                     return  # peer went away mid-response
+                if header.get("op") == "generate":
+                    # Observed once the response is out, so recording
+                    # never delays it.
+                    written = time.perf_counter()
+                    protocol.observe_stages("serve", written - arrived,
+                                            read=read - arrived,
+                                            write=written - started,
+                                            **stages)
+        except OSError:
+            return  # the peer reset before NODELAY could be set
         finally:
-            for handle in (rfile, wfile):
+            for handle in (rfile, wfile, conn):
                 try:
                     handle.close()
                 except OSError:
                     pass
-            try:
-                conn.close()
-            except OSError:
-                pass
             with self._conn_lock:
-                self._conns.pop(key, None)
+                self._threads.pop(conn, None)
 
     # -- lifecycle -----------------------------------------------------------
     def shutdown(self, drain: bool = True, timeout: float = 30.0) -> None:
@@ -484,13 +502,13 @@ class Server:
         # mid-response finish their write first (SHUT_RD leaves the write
         # side open).
         with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
+            live = list(self._threads.items())
+        for conn, _ in live:
             try:
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-        for thread in self._threads:
+        for _, thread in live:
             thread.join(timeout=timeout)
 
     def __enter__(self) -> "Server":

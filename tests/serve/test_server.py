@@ -141,6 +141,27 @@ class TestRequestValidation:
         finally:
             service.close(drain=False)
 
+    def test_negative_seed_is_a_bad_request(self, server):
+        """A negative seed used to kill the handler thread inside
+        ``default_rng`` and drop the connection without a response."""
+        with _client(server) as client:
+            header, _ = client._call({"op": "generate", "model": "gcut",
+                                      "n": 1, "seed": -1})
+            assert header["code"] == protocol.ERR_BAD_REQUEST
+            assert header["error"] == "seed must be non-negative, got -1"
+            assert client.ping()  # the connection survived
+
+    def test_validator_is_shared_by_server_and_router(self):
+        check = protocol.validate_generate
+        assert check({"model": "m", "n": 3}, 10) == ("m", 3, 0)
+        assert check({"model": "m", "n": 3, "seed": 5}, 10) == ("m", 3, 5)
+        assert check({"n": 11}, 10) == ("n=11 exceeds the per-request "
+                                         "cap of 10; split the request")
+        assert check({"n": True}, 10) == ("n must be a non-negative "
+                                          "integer, got True")
+        assert check({"n": 1, "seed": 1.0}, 10) == ("seed must be an "
+                                                    "integer, got 1.0")
+
     def test_unknown_model(self, server):
         with _client(server) as client:
             with pytest.raises(ServeError) as excinfo:
@@ -258,6 +279,26 @@ class TestDrain:
         header, _ = service.handle({"op": "generate", "model": "gcut",
                                     "n": 1, "seed": 0})
         assert header["code"] == protocol.ERR_SHUTTING_DOWN
+
+
+class TestConnectionBookkeeping:
+    def test_finished_connections_are_forgotten(self, server):
+        """Handlers drop their own entry, so closed connections leave no
+        dead threads behind and shutdown has nothing stale to join."""
+        for _ in range(200):
+            with _client(server) as client:
+                assert client.ping()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            with server._conn_lock:
+                if len(server._threads) <= 1:
+                    break
+            time.sleep(0.01)
+        assert len(server._threads) <= 1
+        started = time.monotonic()
+        server.shutdown(drain=True)
+        assert time.monotonic() - started < 5
+        assert not server._threads
 
 
 class TestInProcessClient:
