@@ -30,8 +30,9 @@ import time
 import numpy as np
 
 from repro.serve import Fleet, ModelRegistry, ServeClient, Server
-from repro.serve.bench import train_tiny_model
 from repro.serve.protocol import dataset_to_bytes
+
+from tiny_model import train_tiny_model
 
 
 def fail(message: str) -> None:

@@ -35,8 +35,9 @@ import numpy as np
 
 from repro.serve import (GenerationService, ModelRegistry, ServeClient,
                         ServerBusy, Server)
-from repro.serve.bench import train_tiny_model
 from repro.serve.protocol import SERVE_STAGES, dataset_to_bytes
+
+from tiny_model import train_tiny_model
 
 
 def fail(message: str) -> None:

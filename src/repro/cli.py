@@ -57,6 +57,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.simulators import (generate_flashcrowd, generate_gcut,
                                    generate_mba, generate_regime,
                                    generate_wwt)
+from repro.resilience.atomic import atomic_open
 
 __all__ = ["main", "build_parser"]
 
@@ -371,23 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "registry versions first (zero-downtime "
                           "upgrade flip)")
 
-    bsrv = sub.add_parser("bench-serve",
-                          help="benchmark micro-batched vs batch-size-1 "
-                               "serving (writes BENCH_serving.json)")
-    bsrv.add_argument("--model", default=None,
-                      help="trained model file (default: train a tiny "
-                           "benchmark model)")
-    bsrv.add_argument("--concurrency", type=int, default=8)
-    bsrv.add_argument("--requests", type=int, default=8,
-                      help="requests per client thread")
-    bsrv.add_argument("--n", type=int, default=16,
-                      help="objects per request")
-    bsrv.add_argument("--output", default="BENCH_serving.json")
-    bsrv.add_argument("--smoke", action="store_true",
-                      help="small load for CI; still checks identity")
-    bsrv.add_argument("--check-schema", default=None, metavar="REF",
-                      help="fail if the result's keys drift from this "
-                           "committed BENCH_serving.json")
     return parser
 
 
@@ -855,10 +839,8 @@ def _cmd_serve(args) -> int:
     print(f"listening on {host}:{port}")
     if args.port_file:
         _ensure_parent(args.port_file)
-        tmp = args.port_file + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(args.port_file, "w", encoding="utf-8") as handle:
             handle.write(f"{port}\n")
-        os.replace(tmp, args.port_file)
     try:
         while True:
             if args.stop_file and os.path.exists(args.stop_file):
@@ -913,28 +895,6 @@ def _cmd_fleet_status(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.serve.bench import check_result_schema, run_serving_benchmark
-
-    model = _load_model(args.model)[0] if args.model else None
-    _ensure_parent(args.output)
-    result = run_serving_benchmark(
-        model, concurrency=args.concurrency,
-        requests_per_client=args.requests, n=args.n,
-        output=args.output, smoke=args.smoke)
-    if not result["served_identical"]:
-        print("error: served output drifted from direct generation",
-              file=sys.stderr)
-        return 1
-    if args.check_schema:
-        problems = check_result_schema(result, reference=args.check_schema)
-        if problems:
-            for problem in problems:
-                print(f"error: {problem}", file=sys.stderr)
-            return 1
-    return 0
-
-
 def _cmd_inspect(args) -> int:
     data = _load_dataset(args.data)
     schema = data.schema
@@ -961,8 +921,7 @@ def main(argv=None) -> int:
                 "sweep": _cmd_sweep, "metrics": _cmd_metrics,
                 "publish": _cmd_publish, "report": _cmd_report,
                 "serve": _cmd_serve,
-                "jobs": _cmd_jobs, "fleet-status": _cmd_fleet_status,
-                "bench-serve": _cmd_bench_serve}
+                "jobs": _cmd_jobs, "fleet-status": _cmd_fleet_status}
     try:
         return handlers[args.command](args)
     except _CliError as exc:

@@ -61,8 +61,16 @@ class TimeSeriesDataset:
         if (self.lengths < 1).any() or (self.lengths >
                                         self.schema.max_length).any():
             raise ValueError("lengths must be in [1, max_length]")
-        # Enforce the paper's padding convention: zeros past the end.
         mask = padding_mask(self.lengths, self.schema.max_length)
+        _reject_non_finite(self.attributes, np.isfinite(self.attributes),
+                           self.schema.attributes, "attribute")
+        # Enforce the paper's padding convention: zeros past the end.
+        finite = np.isfinite(self.features)
+        if not finite.all():
+            _reject_non_finite(self.features, finite | (mask[:, :, None] == 0),
+                               self.schema.features, "feature")
+            # Only padding is left to clear (NaN * 0 would stay NaN).
+            self.features = np.where(finite, self.features, 0.0)
         self.features = self.features * mask[:, :, None]
 
     def __len__(self) -> int:
@@ -122,6 +130,18 @@ class TimeSeriesDataset:
             features=np.concatenate([self.features, other.features]),
             lengths=np.concatenate([self.lengths, other.lengths]),
         )
+
+
+def _reject_non_finite(values: np.ndarray, ok: np.ndarray, specs,
+                       kind: str) -> None:
+    """Raise naming the first cell of ``values`` that is not ``ok``."""
+    if ok.all():
+        return
+    index = tuple(int(i) for i in np.argwhere(~ok)[0])
+    step = f" step {index[1]}" if len(index) == 3 else ""
+    raise ValueError(
+        f"object {index[0]}{step} {kind} {specs[index[-1]].name!r} is "
+        f"{values[index]} (values must be finite)")
 
 
 def padding_mask(lengths: np.ndarray, max_length: int) -> np.ndarray:

@@ -107,16 +107,10 @@ def save_npz_atomic(path: str | os.PathLike, arrays: dict) -> None:
     (see :mod:`repro.resilience.faults`) fires between write and rename so
     tests can prove that property.
     """
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        np.savez(handle, **arrays)
-        handle.flush()
-        os.fsync(handle.fileno())
     # Imported lazily: repro.resilience.checkpoint imports this module.
-    from repro.resilience import faults
-    faults.fire("serialization.pre_rename")
-    os.replace(tmp, path)
+    from repro.resilience.atomic import atomic_open
+    with atomic_open(path, fault_site="serialization.pre_rename") as handle:
+        np.savez(handle, **arrays)
 
 
 # -- full training state -----------------------------------------------------

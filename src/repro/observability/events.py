@@ -37,6 +37,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from repro.resilience.atomic import atomic_open
+
 __all__ = ["Event", "EventLog", "capture", "current", "enabled", "emit",
            "read_events", "merge_event_logs", "write_canonical",
            "canonical_line"]
@@ -215,11 +217,6 @@ def merge_event_logs(parent_events: list[Event],
 
 def write_canonical(path: str | os.PathLike, events: list[Event]) -> None:
     """Atomically write the canonical (deterministic) JSONL view."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(canonical_line(event) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)

@@ -32,6 +32,7 @@ import re
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.observability.report import render_run_report
+from repro.resilience.atomic import atomic_open
 
 __all__ = ["TelemetryRun", "cell_slug", "cell_log_path",
            "cell_metrics_path", "write_cell_metrics", "telemetry_active"]
@@ -66,12 +67,8 @@ def write_cell_metrics(root: str | os.PathLike, label,
     """Atomically dump one cell's registry next to its event file."""
     path = cell_metrics_path(root, label)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with atomic_open(path, "w", encoding="utf-8") as handle:
         json.dump(registry.dump(), handle, sort_keys=True)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class TelemetryRun:
@@ -145,22 +142,14 @@ class TelemetryRun:
                 continue
         merged_metrics = _metrics.merge_dumps(dumps)
         metrics_path = os.path.join(self.root, "metrics.json")
-        tmp = metrics_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(metrics_path, "w", encoding="utf-8") as handle:
             json.dump(merged_metrics, handle, sort_keys=True, indent=2)
             handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, metrics_path)
 
         report_path = os.path.join(self.root, "report.md")
         report = render_run_report(merged, merged_metrics,
                                    title=f"Run report: {self.run_id}")
-        tmp = report_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_open(report_path, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, report_path)
         return {"events": events_path, "metrics": metrics_path,
                 "report": report_path}

@@ -26,6 +26,7 @@ import os
 import pickle
 
 from repro.observability import events as obs_events
+from repro.resilience.atomic import atomic_open
 
 __all__ = ["SweepCache", "dataset_fingerprint", "config_fingerprint",
            "cell_cache_key"]
@@ -111,13 +112,8 @@ class SweepCache:
 
     def put(self, key: str, model) -> None:
         """Atomically store ``model`` under ``key``."""
-        path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
+        with atomic_open(self._path(key)) as handle:
             pickle.dump(model, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     def clear(self) -> int:
         """Remove every entry; returns the number removed.

@@ -69,8 +69,7 @@ def plan_request(model, n: int, rng: np.random.Generator,
             ``batch_size`` -- is the only value whose rng draw order (and
             therefore output) matches :meth:`DoppelGANger.generate`;
             anything else is an explicitly degraded mode (e.g. the
-            batch-size-1 serving baseline benchmarked by
-            ``benchmarks/bench_serving.py``).
+            batch-size-1 serving of ``max_batch_rows=1``).
     """
     if attributes is not None and len(attributes) != n:
         raise ValueError("attributes must have n rows")

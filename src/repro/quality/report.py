@@ -143,7 +143,7 @@ class QualityReport:
         self.properties: list[PropertyScore] = []
         self.skipped: list[dict] = []
         #: Volatile wall time per section -- never part of the canonical
-        #: exports (benchmarks read it; see benchmarks/bench_quality.py).
+        #: exports (perfbench's traced ``quality.downstream_ms`` reads it).
         self.timings: dict[str, float] = {}
 
         sections = [

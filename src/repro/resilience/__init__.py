@@ -17,6 +17,8 @@ This package makes the training loop survive all of it:
 - :mod:`repro.resilience.retry` -- bounded, deterministic
   retry-with-backoff used by the serve client, registry reads, and the
   job supervisor.
+- :mod:`repro.resilience.atomic` -- the one atomic-write primitive
+  (temp file + fsync + ``os.replace``) behind every durable file.
 """
 
 from repro.resilience import faults

@@ -11,7 +11,7 @@ consumers (docs/serving.md):
 - :mod:`repro.serve.protocol` -- length-prefixed JSON + npz framing.
 - :mod:`repro.serve.server` / :mod:`repro.serve.client` -- threaded
   loopback-socket server with bounded admission and graceful drain, plus
-  socket / in-process clients and a load generator.
+  socket and in-process clients.
 - :mod:`repro.serve.jobs` / :mod:`repro.serve.worker` -- crash-
   recoverable training-as-a-service: durable job records, a supervisor
   that auto-resumes killed workers from their latest checkpoint, and
@@ -20,13 +20,11 @@ consumers (docs/serving.md):
   supervised replica processes with deterministic routing, per-worker
   LRU model caches, per-client quotas, and replica-death retry -- all
   byte-identical to a single ``GenerationService``.
-- :mod:`repro.serve.bench` -- the BENCH_serving.json benchmark.
 """
 
 from repro.serve.batcher import BatcherClosed, MicroBatcher, QueueFull
-from repro.serve.client import (InProcessClient, LoadReport, RateLimited,
-                                ServeClient, ServeError, ServerBusy,
-                                run_load)
+from repro.serve.client import (InProcessClient, RateLimited, ServeClient,
+                                ServeError, ServerBusy)
 from repro.serve.fleet import (ClientQuotas, Fleet, ModelCache,
                                ReplicaService, TokenBucket, route_index)
 from repro.serve.jobs import (JobError, JobRecord, JobStore,
@@ -47,5 +45,4 @@ __all__ = [
     "ClientQuotas", "route_index",
     "JobStore", "JobRecord", "JobSupervisor", "JobError", "UnknownJob",
     "job_progress",
-    "LoadReport", "run_load",
 ]

@@ -1,10 +1,10 @@
-"""Clients for the generation service: socket, in-process, load generator.
+"""Clients for the generation service: socket and in-process.
 
 :class:`ServeClient` speaks the loopback protocol over a TCP connection;
 :class:`InProcessClient` presents the identical API directly over a
 :class:`~repro.serve.server.GenerationService` (no sockets -- the
-transport tests and the batching benchmark use it to separate scheduler
-effects from socket effects).  Both raise :class:`ServerBusy` when the
+service tests and perfbench's traced serve workloads use it to separate
+scheduler effects from socket effects).  Both raise :class:`ServerBusy` when the
 server sheds a request (backpressure is an *expected* outcome a caller
 must handle, not an exotic failure).
 
@@ -15,29 +15,19 @@ machine-readable ``timeout`` or ``connection`` code.  Connects may also
 retry briefly (``connect_retries``) on a deterministic backoff
 (:mod:`repro.resilience.retry`) to ride out a server that is still
 binding its port.
-
-:func:`run_load` is the load generator behind
-``benchmarks/bench_serving.py`` and ``repro.cli bench-serve``: N client
-threads issue M requests each and every per-request latency is recorded,
-so throughput and tail latency come from the same run.
 """
 
 from __future__ import annotations
 
 import io
 import socket
-import threading
-import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.data.dataset import TimeSeriesDataset
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.serve import protocol
 
 __all__ = ["ServeError", "ServerBusy", "RateLimited", "ServeClient",
-           "InProcessClient", "LoadReport", "run_load"]
+           "InProcessClient"]
 
 
 class ServeError(RuntimeError):
@@ -282,109 +272,3 @@ class InProcessClient(_ClientOps):
 
     def __exit__(self, *exc) -> None:
         pass
-
-
-# -- load generation ---------------------------------------------------------
-
-@dataclass
-class LoadReport:
-    """What a :func:`run_load` run measured."""
-
-    concurrency: int
-    requests: int
-    ok: int
-    shed: int
-    errors: int
-    wall_seconds: float
-    latencies: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per wall-clock second."""
-        return self.ok / self.wall_seconds if self.wall_seconds else 0.0
-
-    def latency_percentile(self, q: float) -> float:
-        """Seconds at percentile ``q`` (0..100) over completed requests."""
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
-
-    def summary(self) -> dict:
-        """JSON-ready digest (used by BENCH_serving.json)."""
-        return {
-            "concurrency": self.concurrency,
-            "requests": self.requests,
-            "ok": self.ok,
-            "shed": self.shed,
-            "errors": self.errors,
-            "wall_seconds": self.wall_seconds,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.latency_percentile(50) * 1000.0,
-            "p99_ms": self.latency_percentile(99) * 1000.0,
-        }
-
-
-def run_load(client_factory, *, model: str, concurrency: int,
-             requests_per_client: int, n: int, seed_base: int = 0,
-             retry_shed: bool = False) -> LoadReport:
-    """Drive a service with ``concurrency`` threads and measure it.
-
-    Args:
-        client_factory: Zero-arg callable building a fresh client per
-            thread (socket clients must not be shared across threads).
-        model: Model spec to request.
-        concurrency: Client threads.
-        requests_per_client: Sequential requests per thread.
-        n: Objects per request.
-        seed_base: Seeds are ``seed_base + thread * requests + i`` --
-            unique per request, so any response can be replayed against
-            direct generation.
-        retry_shed: Retry shed requests (with a short backoff) instead
-            of counting them and moving on.
-    """
-    lock = threading.Lock()
-    latencies: list[float] = []
-    counts = {"ok": 0, "shed": 0, "errors": 0}
-    barrier = threading.Barrier(concurrency + 1)
-
-    def worker(index: int) -> None:
-        client = client_factory()
-        try:
-            barrier.wait()
-            for i in range(requests_per_client):
-                seed = seed_base + index * requests_per_client + i
-                started = time.perf_counter()
-                while True:
-                    try:
-                        client.generate(model, n, seed)
-                        elapsed = time.perf_counter() - started
-                        with lock:
-                            counts["ok"] += 1
-                            latencies.append(elapsed)
-                    except ServerBusy:
-                        if retry_shed:
-                            time.sleep(0.002)
-                            continue
-                        with lock:
-                            counts["shed"] += 1
-                    except ServeError:
-                        with lock:
-                            counts["errors"] += 1
-                    break
-        finally:
-            client.close()
-
-    threads = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(concurrency)]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - started
-    return LoadReport(concurrency=concurrency,
-                      requests=concurrency * requests_per_client,
-                      ok=counts["ok"], shed=counts["shed"],
-                      errors=counts["errors"], wall_seconds=wall,
-                      latencies=latencies)

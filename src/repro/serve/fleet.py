@@ -54,12 +54,12 @@ import zlib
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.parallel.pool import mp_context
+from repro.resilience.atomic import write_atomic
 from repro.resilience.retry import RetryPolicy
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.registry import (ModelNotFound, ModelRegistry,
-                                  _write_atomic)
+from repro.serve.registry import ModelNotFound, ModelRegistry
 from repro.serve.server import (DEFAULT_MAX_REQUEST_N, GenerationService,
                                 Server)
 
@@ -306,7 +306,7 @@ def replica_main(index: int, registry_root: str, port_path: str,
                               "pid": os.getpid(),
                               "replica": int(index)},
                              sort_keys=True).encode("utf-8")
-        _write_atomic(port_path, payload)
+        write_atomic(port_path, payload)
         parent = os.getppid()
         while not stop.wait(0.2):
             if os.getppid() != parent:

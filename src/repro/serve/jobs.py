@@ -56,8 +56,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
+from repro.resilience.atomic import write_atomic
 from repro.resilience.retry import RetryPolicy
-from repro.serve.registry import _write_atomic
 
 __all__ = ["JobError", "UnknownJob", "JobRecord", "JobStore",
            "JobSupervisor", "job_progress", "JOB_STATES",
@@ -246,7 +246,7 @@ class JobStore:
                                max_attempts=int(max_attempts),
                                faults=list(faults or []))
             os.makedirs(self.job_dir(job_id), exist_ok=True)
-            _write_atomic(self.data_path(job_id), bytes(data_bytes))
+            write_atomic(self.data_path(job_id), bytes(data_bytes))
             self._write(record)
         obs_metrics.counter("jobs.submitted").inc()
         obs_events.emit("jobs.submit",
@@ -264,8 +264,8 @@ class JobStore:
         return highest + 1
 
     def _write(self, record: JobRecord) -> None:
-        _write_atomic(self.record_path(record.job_id),
-                      record.to_json().encode("utf-8"))
+        write_atomic(self.record_path(record.job_id),
+                     record.to_json().encode("utf-8"))
 
     def update(self, record: JobRecord) -> JobRecord:
         """Atomically persist ``record`` (tmp + fsync + replace)."""

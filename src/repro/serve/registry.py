@@ -19,9 +19,9 @@ Design points:
   (:mod:`repro.backends`) produced the blob, so ``load`` dispatches to
   the right decoder.  Entries written before tags existed default to
   ``doppelganger``.
-- **Atomic publish**: blobs and manifests are written with the same
-  tmp + ``fsync`` + ``os.replace`` discipline as
-  :mod:`repro.resilience.checkpoint`, so a crash mid-publish leaves
+- **Atomic publish**: blobs and manifests are written through
+  :func:`repro.resilience.atomic.write_atomic` (tmp + ``fsync`` +
+  ``os.replace``), as checkpoints are, so a crash mid-publish leaves
   either the previous registry state or the new one -- never a torn
   manifest or a half-written blob.
 - **Verified loads**: :meth:`ModelRegistry.load` re-hashes the blob and
@@ -43,6 +43,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.observability import metrics as obs_metrics
+from repro.resilience.atomic import write_atomic
 from repro.resilience.retry import RetryPolicy, retry_call
 
 __all__ = ["ModelRegistry", "ModelRecord", "RegistryError",
@@ -88,15 +89,6 @@ class ModelRecord:
     def spec(self) -> str:
         """The canonical ``name@version`` request string."""
         return f"{self.name}@{self.version}"
-
-
-def _write_atomic(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 class ModelRegistry:
@@ -221,7 +213,7 @@ class ModelRegistry:
 
         blob_path = self._blob_path(sha256)
         if not os.path.exists(blob_path):
-            _write_atomic(blob_path, blob)
+            write_atomic(blob_path, blob)
         entry = {
             "version": (int(versions[-1]["version"]) + 1 if versions
                         else 1),
@@ -238,9 +230,9 @@ class ModelRegistry:
         return self._record(name, entry)
 
     def _write_manifest(self, name: str, manifest: dict) -> None:
-        _write_atomic(self._manifest_path(name),
-                      (json.dumps(manifest, sort_keys=True, indent=2)
-                       + "\n").encode("utf-8"))
+        write_atomic(self._manifest_path(name),
+                     (json.dumps(manifest, sort_keys=True, indent=2)
+                      + "\n").encode("utf-8"))
 
     def attach_scores(self, spec: str | ModelRecord,
                       scores: dict) -> ModelRecord:

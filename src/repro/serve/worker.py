@@ -39,8 +39,9 @@ from repro.backends import get_backend
 from repro.data.dataset import TimeSeriesDataset
 from repro.observability import events as obs_events
 from repro.resilience import faults
+from repro.resilience.atomic import write_atomic
 from repro.serve.jobs import JobRecord, JobStore
-from repro.serve.registry import ModelRegistry, _write_atomic
+from repro.serve.registry import ModelRegistry
 
 __all__ = ["run_job", "main"]
 
@@ -152,7 +153,7 @@ def run_job(job_dir: str, registry_root: str) -> int:
                     record, data, store.checkpoint_path(job_id))
             else:
                 model = _train_generic(record, data)
-        _write_atomic(model_path, backend.save_bytes(model))
+        write_atomic(model_path, backend.save_bytes(model))
 
     # Publish boundary: a kill here leaves the finished model archive on
     # disk; the relaunch takes the publish-only path above.
@@ -176,9 +177,9 @@ def run_job(job_dir: str, registry_root: str) -> int:
                "nbytes": published.nbytes, "backend": published.backend}
     if published.scores is not None:
         receipt["scores"] = published.scores
-    _write_atomic(store.result_path(job_id),
-                  (json.dumps(receipt, sort_keys=True, indent=2)
-                   + "\n").encode("utf-8"))
+    write_atomic(store.result_path(job_id),
+                 (json.dumps(receipt, sort_keys=True, indent=2)
+                  + "\n").encode("utf-8"))
     return 0
 
 

@@ -1,0 +1,77 @@
+"""The engine's three execution modes on perfbench's ``train-wwt`` config.
+
+WWT at length 224 (32 LSTM passes at ``sample_len`` 7), 96 objects,
+batch 32, 48 LSTM units: long enough that the recurrent scan dominates a
+training step.  Each mode trains a fresh seeded model for one warm
+iteration (which traces the plans in compiled mode), profiles one
+steady-state iteration, then trains a few more:
+
+- ``reference``: op-by-op graphs (fused kernels off, no plans);
+- ``fused``: fused kernels on the eager tape (plans off);
+- ``compiled``: fused kernels replayed from traced plans.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.core import DoppelGANger
+from repro.experiments.configs import BENCH, make_dataset, make_dg_config
+from repro.nn import kernels, profiler
+from repro.nn.plan import plan_mode
+
+SCALE = dataclasses.replace(BENCH, wwt_length=224)
+STEPS = 3
+MODES = {"reference": (False, False), "fused": (True, False),
+         "compiled": (True, True)}
+
+
+def _iteration(trainer, encoded) -> None:
+    for _ in range(trainer.config.discriminator_steps):
+        trainer.discriminator_step(encoded)
+    trainer.generator_step()
+
+
+def _params_sha(trainer) -> str:
+    digest = hashlib.sha256()
+    for p in trainer.generator_params + trainer.discriminator_params:
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    return digest.hexdigest()
+
+
+def _run(mode: str, steps: int) -> dict:
+    fused, compiled = MODES[mode]
+    data = make_dataset("wwt", SCALE, n=96)
+    config = make_dg_config("wwt", SCALE, iterations=1)
+    with kernels.fused_kernels(fused), plan_mode(compiled):
+        model = DoppelGANger(data.schema, config)
+        model.fit(data)  # the warm iteration
+        encoded = model.encoder.transform(data)
+        with profiler.profile() as prof:
+            _iteration(model.trainer, encoded)
+        for _ in range(steps):
+            _iteration(model.trainer, encoded)
+    return {"ops": prof.total_calls(), "allocs": prof.total_allocs(),
+            "sha": _params_sha(model.trainer)}
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return {"reference": _run("reference", steps=0),
+            "fused": _run("fused", STEPS),
+            "compiled": _run("compiled", STEPS)}
+
+
+def test_compiled_training_is_byte_identical_to_eager(runs):
+    assert runs["compiled"]["sha"] == runs["fused"]["sha"]
+
+
+def test_compiled_step_allocates_nothing(runs):
+    assert runs["compiled"]["allocs"] == 0
+    assert runs["fused"]["allocs"] > 0  # the profiler does count them
+
+
+def test_fused_step_records_under_a_third_of_the_reference_ops(runs):
+    assert 3 * runs["fused"]["ops"] < runs["reference"]["ops"]

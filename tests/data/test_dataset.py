@@ -56,6 +56,51 @@ class TestValidation:
                               lengths=np.array([5, 5, 5]))
 
 
+class TestFiniteValues:
+    """NaN/Inf must be rejected at construction, not trained on."""
+
+    @pytest.fixture(scope="class")
+    def gcut(self):
+        from repro.data.simulators import generate_gcut
+        return generate_gcut(40, np.random.default_rng(0), max_length=12)
+
+    def test_nan_feature_inside_length_names_the_cell(self, gcut):
+        features = gcut.features.copy()
+        features[0, 0, :] = np.nan
+        with pytest.raises(ValueError, match="object 0 step 0 feature "
+                           f"'{gcut.schema.features[0].name}' is nan"):
+            TimeSeriesDataset(gcut.schema, gcut.attributes, features,
+                              gcut.lengths)
+
+    def test_inf_feature_at_last_valid_step(self, gcut):
+        features = gcut.features.copy()
+        step = int(gcut.lengths[5]) - 1
+        features[5, step, -1] = -np.inf
+        name = gcut.schema.features[-1].name
+        with pytest.raises(ValueError, match=f"object 5 step {step} "
+                           f"feature '{name}' is -inf"):
+            TimeSeriesDataset(gcut.schema, gcut.attributes, features,
+                              gcut.lengths)
+
+    def test_non_finite_attribute_names_the_field(self, gcut):
+        attributes = gcut.attributes.copy()
+        attributes[3, 0] = np.inf
+        name = gcut.schema.attributes[0].name
+        with pytest.raises(ValueError,
+                           match=f"object 3 attribute '{name}' is inf"):
+            TimeSeriesDataset(gcut.schema, attributes, gcut.features,
+                              gcut.lengths)
+
+    def test_non_finite_padding_becomes_zero(self, gcut):
+        index = int(np.argmin(gcut.lengths))
+        features = gcut.features.copy()
+        features[index, gcut.lengths[index]:, :] = np.nan
+        features[index, -1, 0] = np.inf
+        dataset = TimeSeriesDataset(gcut.schema, gcut.attributes, features,
+                                    gcut.lengths)
+        assert np.array_equal(dataset.features, gcut.features)
+
+
 class TestAccessors:
     def test_len(self):
         assert len(make_dataset()) == 4

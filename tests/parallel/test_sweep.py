@@ -52,12 +52,14 @@ class TestBuildCells:
 
 class TestParallelEqualsSerial:
     def test_worker_count_does_not_change_models(self):
-        serial = run_sweep(["gcut"], ["hmm", "ar", "dg"], scale=TINY,
+        models = ["hmm", "ar", "rnn", "naive_gan", "dg"]
+        serial = run_sweep(["gcut"], models, scale=TINY, seeds=2,
                            verbose=False)
         clear_cache()
-        parallel = run_sweep(["gcut"], ["hmm", "ar", "dg"], scale=TINY,
+        parallel = run_sweep(["gcut"], models, scale=TINY, seeds=2,
                              workers=2, verbose=False)
         assert not serial.failures and not parallel.failures
+        assert len(serial.models) == 10
         assert sweep_digest(serial.models) == sweep_digest(parallel.models)
 
     def test_report_is_byte_identical(self):

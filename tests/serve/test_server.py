@@ -10,7 +10,7 @@ import pytest
 
 from repro.serve import protocol
 from repro.serve.client import (InProcessClient, ServeClient, ServeError,
-                                ServerBusy, run_load)
+                                ServerBusy)
 from repro.serve.registry import ModelNotFound, ModelRegistry
 from repro.serve.server import GenerationService, Server
 from tests.serve.conftest import assert_datasets_identical
@@ -102,17 +102,31 @@ class TestGenerateRoundtrip:
 
     def test_concurrent_clients_each_identical(self, server,
                                                trained_dg_gcut):
-        host, port = server.address
-        report = run_load(lambda: ServeClient(host, port), model="gcut",
-                          concurrency=6, requests_per_client=2, n=10)
-        assert report.ok == 12
-        assert report.shed == 0 and report.errors == 0
-        # replay one request the load generator issued
-        with _client(server) as client:
-            served = client.generate("gcut", 10, seed=5)
-        assert_datasets_identical(
-            served, trained_dg_gcut.generate(
-                10, rng=np.random.default_rng(5)))
+        # 6 client threads x 2 sequential requests, seeds 0..11.
+        served, errors = {}, []
+
+        def issue(index):
+            try:
+                with _client(server) as client:
+                    for i in range(2):
+                        seed = index * 2 + i
+                        served[seed] = client.generate("gcut", 10, seed)
+            except ServeError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=issue, args=(i,))
+                   for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not errors
+        assert sorted(served) == list(range(12))
+        for seed, dataset in served.items():
+            assert_datasets_identical(
+                dataset, trained_dg_gcut.generate(
+                    10, rng=np.random.default_rng(seed)))
 
 
 class TestRequestValidation:
