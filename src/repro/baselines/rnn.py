@@ -62,10 +62,7 @@ class RNNBaseline(GenerativeModel):
         for _ in range(self.iterations):
             idx = rng.integers(0, n, size=min(self.batch_size, n))
             mask = mask_all[idx]
-            if kernels.fused_enabled():
-                loss = self._fused_loss(attrs[idx], feats[idx], mask)
-            else:
-                loss = self._reference_loss(attrs[idx], feats[idx], mask)
+            loss = self._fused_loss(attrs[idx], feats[idx], mask)
             optimizer.step(grad(loss, params))
             self.loss_history.append(loss.item())
 
@@ -98,31 +95,6 @@ class RNNBaseline(GenerativeModel):
                 * Tensor(mask[:, :t_used, None].astype(np.float64)))
         denom = float(mask.sum() * dim)
         return (diff * diff).sum() / Tensor(denom)
-
-    def _reference_loss(self, attrs: np.ndarray, feats: np.ndarray,
-                        mask: np.ndarray) -> Tensor:
-        """Step-by-step reference path (kept for parity testing)."""
-        batch, _, dim = feats.shape
-        a = Tensor(attrs)
-        state = self.cell.initial_state(batch)
-        prev = Tensor(np.zeros((batch, dim)))
-        step_losses = []
-        for t in range(feats.shape[1]):
-            m = mask[:, t]
-            if not m.any():
-                break
-            h, c = self.cell(ops.concat([a, prev], axis=1), state)
-            state = (h, c)
-            pred = ops.sigmoid(self.readout(h))
-            target = Tensor(feats[:, t])
-            weight = Tensor(m[:, None])
-            diff = (pred - target) * weight
-            step_losses.append((diff * diff).sum())
-            prev = target  # teacher forcing
-        denom = float(mask.sum() * dim)
-        return ops.concat(
-            [ops.reshape(l, (1,)) for l in step_losses], axis=0
-        ).sum() / Tensor(denom)
 
     def _finalize_fit(self, dataset: TimeSeriesDataset,
                       firsts: np.ndarray) -> None:

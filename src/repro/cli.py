@@ -57,7 +57,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.simulators import (generate_flashcrowd, generate_gcut,
                                    generate_mba, generate_regime,
                                    generate_wwt)
-from repro.resilience.atomic import atomic_open
+from repro.resilience.atomic import atomic_open, canonical_json
 
 __all__ = ["main", "build_parser"]
 
@@ -657,8 +657,7 @@ def _cmd_report(args) -> int:
     if args.json:
         with open(_ensure_parent(args.json), "w",
                   encoding="utf-8") as handle:
-            handle.write(json.dumps(document, sort_keys=True, indent=2)
-                         + "\n")
+            handle.write(canonical_json(document))
         print(f"JSON report written to {args.json}")
     markdown = report.render_markdown(title=f"Quality report: {source}")
     if battery is not None:

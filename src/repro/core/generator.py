@@ -172,35 +172,24 @@ class FeatureGenerator(Module):
             z_seq: (B, passes, Z_f) per-pass noise.
         """
         batch = attributes.shape[0]
-        state = self.cell.initial_state(batch)
+        h0, c0 = self.cell.initial_state(batch)
         conditioning = (ops.concat([attributes, minmax], axis=1)
                         if minmax.shape[1] else attributes)
-        if kernels.fused_enabled():
-            # Fused path: the per-pass inputs depend only on the (constant)
-            # conditioning and the pre-drawn noise, never on earlier
-            # outputs, so the whole scan runs as one lstm_sequence node and
-            # the MLP head + activations apply to all passes in one batch.
-            h0, c0 = state
-            cond_dim = conditioning.shape[1]
-            cond_seq = ops.broadcast_to(
-                ops.reshape(conditioning, (batch, 1, cond_dim)),
-                (batch, self.passes, cond_dim))
-            inputs = ops.concat([cond_seq, z_seq], axis=2)
-            h_seq = kernels.lstm_sequence(
-                inputs, h0, c0, self.cell.weight_ih, self.cell.weight_hh,
-                self.cell.bias)
-            flat_h = ops.reshape(h_seq, (batch * self.passes, -1))
-            out = self.activation(self.head(flat_h))
-            return ops.reshape(out, (batch, self.max_length, self.step_dim))
-        chunks = []
-        for p in range(self.passes):
-            step_in = ops.concat([conditioning, z_seq[:, p, :]], axis=1)
-            h, c = self.cell(step_in, state)
-            state = (h, c)
-            out = self.activation(self.head(h))
-            chunks.append(ops.reshape(out, (batch, self.sample_len,
-                                            self.step_dim)))
-        return ops.concat(chunks, axis=1)
+        # The per-pass inputs depend only on the (constant) conditioning and
+        # the pre-drawn noise, never on earlier outputs, so the whole scan
+        # runs as one lstm_sequence node and the MLP head + activations
+        # apply to all passes in one batch.
+        cond_dim = conditioning.shape[1]
+        cond_seq = ops.broadcast_to(
+            ops.reshape(conditioning, (batch, 1, cond_dim)),
+            (batch, self.passes, cond_dim))
+        inputs = ops.concat([cond_seq, z_seq], axis=2)
+        h_seq = kernels.lstm_sequence(
+            inputs, h0, c0, self.cell.weight_ih, self.cell.weight_hh,
+            self.cell.bias)
+        flat_h = ops.reshape(h_seq, (batch * self.passes, -1))
+        out = self.activation(self.head(flat_h))
+        return ops.reshape(out, (batch, self.max_length, self.step_dim))
 
     def sample_noise(self, batch: int, rng: np.random.Generator) -> Tensor:
         return Tensor(rng.normal(size=(batch, self.passes, self.noise_dim)))

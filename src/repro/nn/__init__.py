@@ -4,7 +4,7 @@ Public surface:
 
 - :class:`Tensor`, :class:`Parameter`, :func:`grad`, :func:`no_grad`
 - :mod:`repro.nn.ops` primitives and :mod:`repro.nn.functional` helpers
-- :mod:`repro.nn.kernels` fused execution kernels (``fused_kernels`` flag)
+- :mod:`repro.nn.kernels` fused execution kernels
 - :mod:`repro.nn.plan` trace-and-replay plan compiler (:class:`PlanFunction`)
 - :mod:`repro.nn.profiler` op-level profiler (:func:`profile`)
 - Layers: :class:`Linear`, :class:`MLP`, :class:`LSTMCell`, :class:`LSTM`
@@ -15,13 +15,11 @@ Public surface:
 from repro.nn import functional, init, kernels, ops, plan, profiler
 from repro.nn.dp import (DPGradientProcessor, compute_epsilon, compute_rdp,
                          noise_multiplier_for_epsilon, rdp_to_epsilon)
-from repro.nn.kernels import fused_enabled, fused_kernels, set_fused
 from repro.nn.layers import (LSTM, MLP, GRUCell, LayerNorm, Linear,
                              LSTMCell, Module, Sequential)
 from repro.nn.optim import (SGD, Adam, Optimizer, StepLR,
                             clip_grad_norm, grad_norm)
-from repro.nn.plan import (PlanFunction, PlanUnsupported, plan_enabled,
-                           plan_mode, set_plan_enabled)
+from repro.nn.plan import PlanFunction, PlanUnsupported, plan_mode
 from repro.nn.profiler import OpProfiler, profile
 from repro.nn.serialization import load_module, save_module
 from repro.nn.tensor import Parameter, Tensor, astensor, grad, no_grad
@@ -29,9 +27,7 @@ from repro.nn.tensor import Parameter, Tensor, astensor, grad, no_grad
 __all__ = [
     "Tensor", "Parameter", "grad", "no_grad", "astensor",
     "ops", "functional", "init", "kernels", "plan", "profiler",
-    "fused_kernels", "fused_enabled", "set_fused",
-    "PlanFunction", "PlanUnsupported", "plan_mode", "plan_enabled",
-    "set_plan_enabled",
+    "PlanFunction", "PlanUnsupported", "plan_mode",
     "OpProfiler", "profile",
     "Module", "Linear", "MLP", "LSTMCell", "LSTM", "GRUCell",
     "LayerNorm", "Sequential",

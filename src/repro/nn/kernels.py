@@ -1,11 +1,11 @@
 """Fused execution kernels: one graph node per logical operation.
 
-The reference layers in :mod:`repro.nn.layers` build their math out of
-:mod:`repro.nn.ops` primitives -- roughly 17 graph nodes per LSTM step and
-T of everything for a length-T sequence.  On a numpy substrate the Python
-graph bookkeeping, not the arithmetic, is the wall-clock bottleneck.  The
-kernels here collapse the hot paths into single graph nodes with
-hand-written backward passes:
+Composed out of :mod:`repro.nn.ops` primitives, an LSTM costs roughly 17
+graph nodes per step and T of everything for a length-T sequence.  On a
+numpy substrate the Python graph bookkeeping, not the arithmetic, is the
+wall-clock bottleneck.  The kernels here, which the layers in
+:mod:`repro.nn.layers` always call, collapse the hot paths into single
+graph nodes with hand-written backward passes:
 
 - :func:`linear` -- fused ``x @ W + b``.  Its VJP is expressed with
   *differentiable* ops, so double backprop (``create_graph=True``) works:
@@ -31,20 +31,13 @@ bit-for-bit the same.
 Double-backprop boundary (important): the gradient penalty only needs
 second-order gradients through the *discriminator* MLPs, never through the
 LSTM generator (fake samples are detached before entering the critic loss).
-So ``linear`` keeps a differentiable VJP while the LSTM kernels may use
+So ``linear`` keeps a differentiable VJP while the LSTM kernels use
 closed-form numpy VJPs; they raise a clear error if someone tries to build
-a higher-order graph through them -- switch to the reference path with
-``fused_kernels(False)`` for that.
-
-The reference slow path stays available behind the module-level flag::
-
-    with kernels.fused_kernels(False):   # bit-for-bit reference semantics
-        trainer.train(data)
+a higher-order graph through them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 
 import numpy as np
@@ -54,34 +47,7 @@ from repro.nn.ops import _sigmoid_stable
 from repro.nn.profiler import PROFILER, profiled
 from repro.nn.tensor import Tensor, astensor, is_grad_enabled
 
-__all__ = ["linear", "lstm_cell", "lstm_sequence",
-           "fused_enabled", "set_fused", "fused_kernels"]
-
-# Global dispatch flag consulted by the layers in repro.nn.layers.
-_FUSED = True
-
-
-def fused_enabled() -> bool:
-    """Whether layers dispatch to the fused kernels (default True)."""
-    return _FUSED
-
-
-def set_fused(enabled: bool) -> bool:
-    """Set the dispatch flag; returns the previous value."""
-    global _FUSED
-    previous = _FUSED
-    _FUSED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def fused_kernels(enabled: bool = True):
-    """Context manager scoping the fused/reference dispatch flag."""
-    previous = set_fused(enabled)
-    try:
-        yield
-    finally:
-        set_fused(previous)
+__all__ = ["linear", "lstm_cell", "lstm_sequence"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -93,22 +59,24 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray,
                   mask: np.ndarray) -> np.ndarray:
     """Buffered :func:`repro.nn.ops._sigmoid_stable` (bit-identical values).
 
-    ``e = exp(-|clip(x)|)`` is built in ``out``; ``tmp`` holds the shared
-    denominator then the x>=0 branch; ``mask`` selects between branches.
-    ``|clip(x, -500, 500)|`` is spelled ``minimum(|x|, 500)`` -- the same
-    bits (including NaN propagation) in two ufunc calls instead of
-    ``np.clip``'s Python wrapper plus ``absolute``, which is measurable
-    overhead at one call per gate per timestep.
+    ``e = exp(-|clip(x)|)`` is built in ``out`` and ``tmp`` holds the shared
+    denominator ``1 + e``.  The x>=0 branch ``1 / (1 + e)`` and the x<0
+    branch ``e / (1 + e)`` differ only in the numerator, so ``out`` is
+    overwritten with 1 where ``mask`` (x >= 0) holds and one divide serves
+    both branches.  ``|clip(x, -500, 500)|`` is spelled
+    ``minimum(|x|, 500)`` -- the same bits (including NaN propagation) in
+    two ufunc calls instead of ``np.clip``'s Python wrapper plus
+    ``absolute``, which is measurable overhead at one call per gate per
+    timestep.
     """
+    np.greater_equal(x, 0, out=mask)
     np.absolute(x, out=out)
     np.minimum(out, 500.0, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)          # out = e
     np.add(1.0, out, out=tmp)     # tmp = 1 + e
-    np.divide(out, tmp, out=out)  # out = e / (1 + e)   (x < 0 branch)
-    np.divide(1.0, tmp, out=tmp)  # tmp = 1 / (1 + e)   (x >= 0 branch)
-    np.greater_equal(x, 0, out=mask)
-    np.copyto(out, tmp, where=mask)
+    np.copyto(out, 1.0, where=mask)
+    np.divide(out, tmp, out=out)
     return out
 
 
@@ -116,10 +84,8 @@ def _require_first_order(name: str) -> None:
     if is_grad_enabled():
         raise RuntimeError(
             f"{name} has a closed-form first-order VJP; higher-order "
-            "gradients (create_graph=True) through the LSTM are not "
-            "supported on the fused path.  Wrap the computation in "
-            "repro.nn.kernels.fused_kernels(False) to use the "
-            "differentiable reference layers instead.")
+            "gradients (create_graph=True) through the LSTM kernels are "
+            "not supported.")
 
 
 # -- pure array helpers (plan replay hooks) -----------------------------------

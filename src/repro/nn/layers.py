@@ -4,10 +4,9 @@ Mirrors the architecture palette the paper uses (Appendix B): MLPs with a few
 hidden layers for generators/discriminators, and a single-layer LSTM for the
 feature generator.
 
-Hot paths (Linear, LSTMCell, LSTM) dispatch to the fused kernels in
-:mod:`repro.nn.kernels` by default; the op-by-op reference implementations
-remain available under ``kernels.fused_kernels(False)`` and are the ground
-truth the fused kernels are parity-tested against.
+Hot paths (Linear, LSTMCell, LSTM) run on the fused kernels in
+:mod:`repro.nn.kernels`.  The test suite checks them against the same math
+composed op by op from :mod:`repro.nn.ops`.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ class Linear(Module):
         self.bias = Parameter(init.zeros(out_features), name="bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        if kernels.fused_enabled() and x.ndim == 2:
+        if x.ndim == 2:
             return kernels.linear(x, self.weight, self.bias)
         return ops.matmul(x, self.weight) + self.bias
 
@@ -174,19 +173,8 @@ class LSTMCell(Module):
     def forward(self, x: Tensor, state: tuple[Tensor, Tensor]
                 ) -> tuple[Tensor, Tensor]:
         h_prev, c_prev = state
-        if kernels.fused_enabled():
-            return kernels.lstm_cell(x, h_prev, c_prev, self.weight_ih,
-                                     self.weight_hh, self.bias)
-        gates = (ops.matmul(x, self.weight_ih)
-                 + ops.matmul(h_prev, self.weight_hh) + self.bias)
-        n = self.hidden_size
-        i = ops.sigmoid(gates[:, 0 * n:1 * n])
-        f = ops.sigmoid(gates[:, 1 * n:2 * n])
-        g = ops.tanh(gates[:, 2 * n:3 * n])
-        o = ops.sigmoid(gates[:, 3 * n:4 * n])
-        c = f * c_prev + i * g
-        h = o * ops.tanh(c)
-        return h, c
+        return kernels.lstm_cell(x, h_prev, c_prev, self.weight_ih,
+                                 self.weight_hh, self.bias)
 
     def initial_state(self, batch_size: int) -> tuple[Tensor, Tensor]:
         zeros = np.zeros((batch_size, self.hidden_size))
@@ -240,18 +228,11 @@ class LSTM(Module):
     def forward(self, x: Tensor,
                 state: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """Run over all time steps; returns hidden states (B, T, H)."""
-        batch, steps = x.shape[0], x.shape[1]
         if state is None:
-            state = self.cell.initial_state(batch)
+            state = self.cell.initial_state(x.shape[0])
         h, c = state
-        if kernels.fused_enabled():
-            return kernels.lstm_sequence(x, h, c, self.cell.weight_ih,
-                                         self.cell.weight_hh, self.cell.bias)
-        outputs = []
-        for t in range(steps):
-            h, c = self.cell(x[:, t, :], (h, c))
-            outputs.append(h)
-        return ops.stack(outputs, axis=1)
+        return kernels.lstm_sequence(x, h, c, self.cell.weight_ih,
+                                     self.cell.weight_hh, self.cell.bias)
 
 
 class LayerNorm(Module):

@@ -25,12 +25,13 @@ replaying the recorded op schedule afterwards:
    to its eager counterpart (verified property-by-property in
    ``tests/nn/test_plan.py``), so compiled and eager runs produce the same
    bytes.
-3. **Fallback** -- any new input signature (shape/dtype change, fused-mode
-   flip) re-traces; anything the tracer cannot prove safe (unconsumed
-   inputs, aliased outputs, too many signatures) permanently falls back to
-   eager execution for that signature.  Correctness never depends on the
-   plan: the trace itself *is* an eager run, and replay is opt-out via
-   ``REPRO_PLAN=0`` or :func:`set_plan_enabled`.
+3. **Fallback** -- any new input signature (shape/dtype change)
+   re-traces; anything the tracer cannot prove safe (unconsumed inputs,
+   aliased outputs, too many signatures) permanently falls back to eager
+   execution for that signature.  Correctness never depends on the plan:
+   the trace itself *is* an eager run.  ``with plan_mode(False):`` runs
+   every call eagerly, which is how the tests check replay against the
+   eager tape.
 
 Tracing rules (what the shims record):
 
@@ -60,7 +61,6 @@ storage are always copied so in-place consumers cannot corrupt the plan.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import time
 
@@ -70,40 +70,28 @@ from repro.nn import kernels, ops
 from repro.nn.profiler import PROFILER
 from repro.nn.tensor import Tensor
 
-__all__ = ["PlanFunction", "PlanUnsupported", "plan_enabled",
-           "set_plan_enabled", "plan_mode"]
+__all__ = ["PlanFunction", "PlanUnsupported", "plan_mode"]
 
 
 class PlanUnsupported(Exception):
     """A traced step cannot be compiled; the caller falls back to eager."""
 
 
-_PLAN_ENABLED = os.environ.get("REPRO_PLAN", "1").lower() not in (
-    "0", "false", "off", "no")
-
-
-def plan_enabled() -> bool:
-    """Whether traced signatures are replayed (default on; ``REPRO_PLAN=0``
-    disables)."""
-    return _PLAN_ENABLED
-
-
-def set_plan_enabled(enabled: bool) -> bool:
-    """Set the global replay flag; returns the previous value."""
-    global _PLAN_ENABLED
-    previous = _PLAN_ENABLED
-    _PLAN_ENABLED = bool(enabled)
-    return previous
+_PLAN_ENABLED = True
 
 
 @contextlib.contextmanager
 def plan_mode(enabled: bool = True):
-    """Context manager scoping the global replay flag."""
-    previous = set_plan_enabled(enabled)
+    """Scope whether traced signatures are replayed (the default) or every
+    call runs on the eager tape -- the oracle the replay is tested against.
+    """
+    global _PLAN_ENABLED
+    previous = _PLAN_ENABLED
+    _PLAN_ENABLED = bool(enabled)
     try:
         yield
     finally:
-        set_plan_enabled(previous)
+        _PLAN_ENABLED = previous
 
 
 # Only one trace may patch the op modules at a time.
@@ -716,7 +704,7 @@ class PlanFunction:
     ``fn`` takes raw float64 ndarrays and returns a tuple of Tensors,
     ndarrays, or ``None``; a call always returns a list of
     ndarrays/``None``.  One plan is compiled per input signature
-    ``(fused-mode, shapes, dtypes)``; signatures beyond ``max_plans`` and
+    ``(shapes, dtypes)``; signatures beyond ``max_plans`` and
     anything the tracer rejects run eagerly forever.  ``params`` lists the
     Parameters whose ``.data`` must be re-read live on every replay.
 
@@ -737,12 +725,11 @@ class PlanFunction:
                       "fallbacks": 0}
 
     def signature(self, inputs) -> tuple:
-        return (kernels.fused_enabled(),) + tuple(
-            (a.shape, a.dtype.str) for a in inputs)
+        return tuple((a.shape, a.dtype.str) for a in inputs)
 
     def __call__(self, inputs):
         inputs = tuple(inputs)
-        if not plan_enabled():
+        if not _PLAN_ENABLED:
             self.stats["eager_calls"] += 1
             return self._eager(inputs)
         key = self.signature(inputs)

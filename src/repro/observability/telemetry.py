@@ -32,7 +32,7 @@ import re
 from repro.observability import events as _events
 from repro.observability import metrics as _metrics
 from repro.observability.report import render_run_report
-from repro.resilience.atomic import atomic_open
+from repro.resilience.atomic import atomic_open, canonical_json
 
 __all__ = ["TelemetryRun", "cell_slug", "cell_log_path",
            "cell_metrics_path", "write_cell_metrics", "telemetry_active"]
@@ -143,8 +143,7 @@ class TelemetryRun:
         merged_metrics = _metrics.merge_dumps(dumps)
         metrics_path = os.path.join(self.root, "metrics.json")
         with atomic_open(metrics_path, "w", encoding="utf-8") as handle:
-            json.dump(merged_metrics, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+            handle.write(canonical_json(merged_metrics))
 
         report_path = os.path.join(self.root, "report.md")
         report = render_run_report(merged, merged_metrics,

@@ -35,7 +35,6 @@ are resolved by average ranks (:func:`repro.metrics.rankdata`).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +47,7 @@ from repro.privacy.dp_analysis import DPPlan, epsilon_for_noise
 from repro.privacy.membership_inference import (
     MembershipInferenceResult, discriminator_score_attack,
     membership_inference_attack)
+from repro.resilience.atomic import canonical_json
 
 __all__ = ["AttackResult", "PrivacyBattery", "MemorizingBaseline",
            "attack_auc", "privacy_battery", "privacy_grade", "GRADES"]
@@ -161,7 +161,7 @@ class PrivacyBattery:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict())
 
     def render_markdown(self, title: str = "Privacy battery") -> str:
         lines = [f"# {title}", "",

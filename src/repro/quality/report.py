@@ -18,8 +18,7 @@ under the same determinism discipline as
   :attr:`QualityReport.timings` side channel, excluded from
   :meth:`to_dict` / :meth:`to_json` / :meth:`render_markdown`;
 - two runs of the same inputs produce byte-identical JSON and markdown,
-  at any worker count and under either kernel dispatch (``REPRO_FUSED``)
-  -- the property CI asserts with ``cmp``.
+  at any worker count -- the property CI asserts with ``cmp``.
 
 Score mappings (see docs/quality.md for the full definitions):
 
@@ -41,7 +40,6 @@ mean with NaN.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -54,6 +52,7 @@ from repro.metrics import (autocorrelation_mse, average_autocorrelation,
                            per_object_statistic, wasserstein1)
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
+from repro.resilience.atomic import canonical_json
 
 __all__ = ["QualityReport", "PropertyScore", "clamp01"]
 
@@ -492,7 +491,7 @@ class QualityReport:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, two-space indent, trailing \\n."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "QualityReport":

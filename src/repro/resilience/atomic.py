@@ -10,16 +10,20 @@ that raises leaves its ``.tmp`` behind and ``path`` untouched.
 
 The parent directory is not fsynced after the rename, so a power loss
 can still roll the rename back (the old file stays whole).
+
+:func:`canonical_json` is the one spelling of the JSON documents those
+files hold: sorted keys, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 from repro.resilience import faults
 
-__all__ = ["atomic_open", "write_atomic"]
+__all__ = ["atomic_open", "write_atomic", "canonical_json"]
 
 
 @contextlib.contextmanager
@@ -46,3 +50,9 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Atomically replace ``path``'s contents with ``data``."""
     with atomic_open(path) as handle:
         handle.write(data)
+
+
+def canonical_json(value) -> str:
+    """``value`` as canonical JSON: sorted keys, two-space indent, and a
+    trailing newline, so equal documents are equal bytes."""
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"

@@ -216,14 +216,24 @@ class ServeClient(_ClientOps):
 
     def _call(self, header: dict, payload: bytes = b""
               ) -> tuple[dict, bytes]:
+        sent = False
         try:
             protocol.write_message(self._wfile, header, payload)
+            sent = True
             return protocol.read_message(self._rfile)
         except EOFError:
             raise ServeError(
                 protocol.ERR_CONNECTION,
                 f"server {self._address} closed the connection without "
                 f"a response") from None
+        except protocol.ProtocolError as exc:
+            if not sent:
+                raise
+            # A response cut off mid-frame (the server died while writing
+            # it) leaves the connection as unusable as a reset does.
+            raise ServeError(
+                protocol.ERR_CONNECTION,
+                f"broken response from {self._address}: {exc}") from None
         except TimeoutError:
             raise ServeError(
                 protocol.ERR_TIMEOUT,

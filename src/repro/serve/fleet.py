@@ -287,13 +287,6 @@ def replica_main(index: int, registry_root: str, port_path: str,
     ``port_path``, then waits for SIGTERM (graceful drain) or the death
     of its parent router (orphan exit).
     """
-    # Under the spawn start method the child imports everything fresh,
-    # so re-apply the kernel dispatch choice from the environment (fork
-    # children inherit it as live state and this is a no-op).
-    fused = os.environ.get("REPRO_FUSED")
-    if fused is not None:
-        from repro.nn.kernels import set_fused
-        set_fused(fused.strip().lower() not in ("0", "false", ""))
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # router owns shutdown
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())

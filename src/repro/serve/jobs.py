@@ -56,7 +56,7 @@ from dataclasses import asdict, dataclass, field
 
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
-from repro.resilience.atomic import write_atomic
+from repro.resilience.atomic import canonical_json, write_atomic
 from repro.resilience.retry import RetryPolicy
 
 __all__ = ["JobError", "UnknownJob", "JobRecord", "JobStore",
@@ -166,7 +166,7 @@ class JobRecord:
     faults: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return canonical_json(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "JobRecord":

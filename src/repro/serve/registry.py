@@ -43,7 +43,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.observability import metrics as obs_metrics
-from repro.resilience.atomic import write_atomic
+from repro.resilience.atomic import canonical_json, write_atomic
 from repro.resilience.retry import RetryPolicy, retry_call
 
 __all__ = ["ModelRegistry", "ModelRecord", "RegistryError",
@@ -231,8 +231,7 @@ class ModelRegistry:
 
     def _write_manifest(self, name: str, manifest: dict) -> None:
         write_atomic(self._manifest_path(name),
-                     (json.dumps(manifest, sort_keys=True, indent=2)
-                      + "\n").encode("utf-8"))
+                     canonical_json(manifest).encode("utf-8"))
 
     def attach_scores(self, spec: str | ModelRecord,
                       scores: dict) -> ModelRecord:

@@ -31,7 +31,6 @@ flushes -- the closest in-process stand-in for SIGKILL.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,7 +38,7 @@ from repro.backends import get_backend
 from repro.data.dataset import TimeSeriesDataset
 from repro.observability import events as obs_events
 from repro.resilience import faults
-from repro.resilience.atomic import write_atomic
+from repro.resilience.atomic import canonical_json, write_atomic
 from repro.serve.jobs import JobRecord, JobStore
 from repro.serve.registry import ModelRegistry
 
@@ -178,8 +177,7 @@ def run_job(job_dir: str, registry_root: str) -> int:
     if published.scores is not None:
         receipt["scores"] = published.scores
     write_atomic(store.result_path(job_id),
-                 (json.dumps(receipt, sort_keys=True, indent=2)
-                  + "\n").encode("utf-8"))
+                 canonical_json(receipt).encode("utf-8"))
     return 0
 
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.rnn import RNNBaseline
+from repro.data.dataset import padding_mask
+from repro.nn import grad
+from tests.nn import oracle
 
 
 def small_rnn(**kw):
@@ -25,6 +28,25 @@ class TestRNNBaseline:
         model.fit(tiny_gcut)
         assert np.mean(model.loss_history[-5:]) < np.mean(
             model.loss_history[:5])
+
+    def test_fused_loss_matches_step_by_step_oracle(self, tiny_gcut):
+        """The one-scan teacher-forced loss equals the loss composed one
+        time step at a time, in value and in every parameter gradient."""
+        model = small_rnn(iterations=3)
+        model.fit(tiny_gcut)
+        encoded = model.encoder.transform(tiny_gcut)
+        idx = np.arange(12)
+        feats = encoded.features[idx]
+        mask = padding_mask(encoded.lengths, feats.shape[1])[idx]
+        attrs = encoded.attributes[idx]
+        params = model.cell.parameters() + model.readout.parameters()
+
+        fused = model._fused_loss(attrs, feats, mask)
+        reference = oracle.rnn_step_loss(model, attrs, feats, mask)
+        assert abs(fused.item() - reference.item()) <= 1e-12
+        for gf, gr in zip(grad(fused, params), grad(reference, params)):
+            np.testing.assert_allclose(gf.data, gr.data, rtol=0,
+                                       atol=1e-10)
 
     def test_limited_randomness(self, tiny_gcut):
         """The paper's observed weakness: conditioned on the same attribute

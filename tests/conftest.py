@@ -6,27 +6,11 @@ training lives in benchmarks/.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core import DGConfig, DoppelGANger
 from repro.data.simulators import generate_gcut, generate_mba, generate_wwt
-
-
-@pytest.fixture(scope="session", autouse=True)
-def kernel_dispatch_from_env():
-    """Honour REPRO_FUSED=0|1 so CI can run the whole suite (including
-    the determinism battery) under the reference kernels."""
-    value = os.environ.get("REPRO_FUSED")
-    if value is None:
-        yield
-        return
-    from repro.nn.kernels import set_fused
-    previous = set_fused(value.lower() not in ("0", "false", "off"))
-    yield
-    set_fused(previous)
 
 
 @pytest.fixture

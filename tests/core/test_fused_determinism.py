@@ -1,25 +1,29 @@
 """Bit-level determinism: fused kernels must not change the training math.
 
-Trains the same seeded DoppelGANger twice -- fused kernels on and off --
-and requires the loss traces to agree to <=1e-9.  The two paths differ only
-in how the identical arithmetic is scheduled (batched GEMMs and single-node
-scans vs op-by-op graphs), so any real divergence is a kernel bug.
+Trains the same seeded DoppelGANger twice -- once as shipped, once with
+its layers on the op-composed oracle (tests/nn/oracle.py) -- and requires
+the loss traces to agree to <=1e-9.  The two paths differ only in how the
+identical arithmetic is scheduled (batched GEMMs and single-node scans vs
+op-by-op graphs), so any real divergence is a kernel bug.
 """
+
+import contextlib
 
 import numpy as np
 
 from repro.core import DoppelGANger
 from repro.data.simulators import generate_wwt
-from repro.nn import grad, kernels, ops, Tensor
+from repro.nn import grad, profiler, Tensor
 from repro.nn import functional as F
 from tests.conftest import tiny_dg_config
+from tests.nn.oracle import reference_layers
 
 
 def _loss_trace(fused: bool) -> tuple[list[float], list[float], list[float]]:
     data = generate_wwt(48, np.random.default_rng(5), length=14,
                         long_period=7)
     config = tiny_dg_config(sample_len=7, iterations=5, batch_size=12)
-    with kernels.fused_kernels(fused):
+    with contextlib.nullcontext() if fused else reference_layers():
         model = DoppelGANger(data.schema, config)
         history = model.fit(data, log_every=1)
     return history.d_loss, history.g_loss, history.wasserstein
@@ -33,6 +37,18 @@ class TestFusedDeterminism:
         np.testing.assert_allclose(d_f, d_r, rtol=0, atol=1e-9)
         np.testing.assert_allclose(g_f, g_r, rtol=0, atol=1e-9)
         np.testing.assert_allclose(w_f, w_r, rtol=0, atol=1e-9)
+
+    def test_oracle_training_calls_no_fused_kernel(self):
+        """The comparison above is not vacuous: the oracle run composes
+        ops only."""
+        data = generate_wwt(24, np.random.default_rng(5), length=14,
+                            long_period=7)
+        config = tiny_dg_config(sample_len=7, iterations=1, batch_size=12)
+        with reference_layers(), profiler.profile() as prof:
+            DoppelGANger(data.schema, config).fit(data)
+        calls = prof.stats()
+        assert "matmul" in calls
+        assert not {"linear", "lstm_cell", "lstm_sequence"} & set(calls)
 
     def test_same_seed_same_path_is_bitwise_identical(self):
         first = _loss_trace(fused=True)

@@ -1,5 +1,5 @@
 """Downstream predictors are deterministic: bit-identical predictions
-across repeated runs and across the fused/reference kernel dispatch.
+across repeated runs.
 
 The quality report's downstream property (and the TSTR figures) are only
 byte-reproducible if every predictor is; this battery pins that contract
@@ -9,11 +9,9 @@ at the predictor level, where a regression is cheapest to localise.
 import numpy as np
 import pytest
 
-from repro.downstream import (accuracy, default_classifiers,
-                              default_regressors,
+from repro.downstream import (default_classifiers, default_regressors,
                               event_prediction_features,
                               forecasting_arrays)
-from repro.nn.kernels import set_fused
 
 
 @pytest.fixture(scope="module")
@@ -67,40 +65,3 @@ class TestRunToRun:
         b = _classifier_predictions(classification_arrays, seed=1)
         assert any(not np.array_equal(a[name], b[name]) for name in a)
 
-
-class TestKernelDispatch:
-    """REPRO_FUSED must not change a single predicted bit."""
-
-    @pytest.fixture(autouse=True)
-    def restore_dispatch(self):
-        previous = set_fused(True)
-        set_fused(previous)
-        yield
-        set_fused(previous)
-
-    def test_classifiers_invariant(self, classification_arrays):
-        set_fused(True)
-        fused = _classifier_predictions(classification_arrays)
-        set_fused(False)
-        reference = _classifier_predictions(classification_arrays)
-        for name in fused:
-            assert np.array_equal(fused[name], reference[name]), name
-
-    def test_regressors_invariant(self, regression_arrays):
-        set_fused(True)
-        fused = _regressor_predictions(regression_arrays)
-        set_fused(False)
-        reference = _regressor_predictions(regression_arrays)
-        for name in fused:
-            assert np.array_equal(fused[name], reference[name]), name
-
-    def test_accuracy_invariant(self, classification_arrays):
-        x_train, y_train, x_test, y_test = classification_arrays
-        values = []
-        for fused in (True, False):
-            set_fused(fused)
-            model = next(iter(default_classifiers(seed=0,
-                                                  mlp_iterations=30)))
-            values.append(accuracy(model.fit(x_train, y_train),
-                                   x_test, y_test))
-        assert values[0] == values[1]

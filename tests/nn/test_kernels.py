@@ -1,16 +1,16 @@
 """Parity and gradcheck tests for the fused kernels (repro.nn.kernels).
 
 Every fused kernel is checked three ways: forward parity against the
-reference op-by-op path, gradient parity against the reference path, and
-gradients against central finite differences (the same pattern as
-tests/nn/test_double_backprop.py).
+op-composed oracle (tests/nn/oracle.py), gradient parity against the
+oracle, and gradients against central finite differences (the same
+pattern as tests/nn/test_double_backprop.py).
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import (LSTM, MLP, Linear, LSTMCell, Tensor, grad, kernels,
-                      ops)
+from repro.nn import LSTM, MLP, Linear, LSTMCell, Tensor, grad, kernels, ops
+from tests.nn import oracle
 
 RNG = np.random.default_rng(99)
 
@@ -30,14 +30,18 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
+def _oracle_lstm(lstm: LSTM, x: Tensor, state) -> Tensor:
+    cell = lstm.cell
+    return oracle.lstm_sequence(x, *state, cell.weight_ih, cell.weight_hh,
+                                cell.bias)
+
+
 class TestFusedLinear:
     def test_forward_matches_reference(self):
         layer = Linear(5, 3, rng=np.random.default_rng(0))
         x = Tensor(RNG.normal(size=(7, 5)))
-        with kernels.fused_kernels(True):
-            fused = layer(x)
-        with kernels.fused_kernels(False):
-            reference = layer(x)
+        fused = layer(x)
+        reference = oracle.linear(x, layer.weight, layer.bias)
         assert np.array_equal(fused.data, reference.data)
 
     def test_gradients_match_reference_and_finite_difference(self):
@@ -45,10 +49,9 @@ class TestFusedLinear:
         x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
         wanted = [x, layer.weight, layer.bias]
 
-        with kernels.fused_kernels(True):
-            g_fused = grad((layer(x) ** 2).sum(), wanted)
-        with kernels.fused_kernels(False):
-            g_ref = grad((layer(x) ** 2).sum(), wanted)
+        g_fused = grad((layer(x) ** 2).sum(), wanted)
+        g_ref = grad((oracle.linear(x, layer.weight, layer.bias) ** 2).sum(),
+                     wanted)
         for gf, gr in zip(g_fused, g_ref):
             assert np.allclose(gf.data, gr.data, atol=1e-12)
 
@@ -61,19 +64,17 @@ class TestFusedLinear:
             assert np.allclose(gf.data, expected, atol=1e-4)
 
     def test_second_order_through_fused_linear(self):
-        # The critic path must support double backprop with fused linear on.
+        # The critic path must support double backprop through fused linear.
         mlp = MLP(4, [8], 1, activation="tanh", rng=np.random.default_rng(2))
         x = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
-        with kernels.fused_kernels(True):
-            (g1,) = grad(mlp(x).sum(), [x], create_graph=True)
-            penalty = (g1 ** 2).sum()
-            weights = [p for p in mlp.parameters() if p.ndim == 2]
-            analytic = grad(penalty, weights, allow_unused=True)
+        (g1,) = grad(mlp(x).sum(), [x], create_graph=True)
+        penalty = (g1 ** 2).sum()
+        weights = [p for p in mlp.parameters() if p.ndim == 2]
+        analytic = grad(penalty, weights, allow_unused=True)
 
         def penalty_value() -> float:
             xt = Tensor(x.data, requires_grad=True)
-            with kernels.fused_kernels(False):
-                (gg,) = grad(mlp(xt).sum(), [xt])
+            (gg,) = grad(oracle.mlp(mlp, xt).sum(), [xt])
             return float((gg.data ** 2).sum())
 
         for w, ga in zip(weights, analytic):
@@ -94,10 +95,9 @@ class TestFusedLSTMCell:
         cell = self._cell()
         x = Tensor(RNG.normal(size=(4, 3)))
         state = cell.initial_state(4)
-        with kernels.fused_kernels(True):
-            hf, cf = cell(x, state)
-        with kernels.fused_kernels(False):
-            hr, cr = cell(x, state)
+        hf, cf = cell(x, state)
+        hr, cr = oracle.lstm_cell(x, *state, cell.weight_ih, cell.weight_hh,
+                                  cell.bias)
         assert np.array_equal(hf.data, hr.data)
         assert np.array_equal(cf.data, cr.data)
 
@@ -108,17 +108,18 @@ class TestFusedLSTMCell:
         c0 = Tensor(RNG.normal(size=(4, 5)) * 0.3, requires_grad=True)
         wanted = [x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias]
 
-        def loss_through(two_steps: bool):
+        def loss_through(step):
             # Two chained steps so h AND c both carry gradient backwards.
-            h, c = cell(x, (h0, c0))
-            if two_steps:
-                h, c = cell(x, (h, c))
+            h, c = step(x, (h0, c0))
+            h, c = step(x, (h, c))
             return (h * h).sum() + (c * c).sum()
 
-        with kernels.fused_kernels(True):
-            g_fused = grad(loss_through(True), wanted)
-        with kernels.fused_kernels(False):
-            g_ref = grad(loss_through(True), wanted)
+        def reference_step(x, state):
+            return oracle.lstm_cell(x, *state, cell.weight_ih,
+                                    cell.weight_hh, cell.bias)
+
+        g_fused = grad(loss_through(cell), wanted)
+        g_ref = grad(loss_through(reference_step), wanted)
         for gf, gr in zip(g_fused, g_ref):
             assert np.allclose(gf.data, gr.data, atol=1e-10)
 
@@ -128,14 +129,13 @@ class TestFusedLSTMCell:
         h0 = Tensor(RNG.normal(size=(2, 5)) * 0.2, requires_grad=True)
         c0 = Tensor(RNG.normal(size=(2, 5)) * 0.2, requires_grad=True)
         wanted = [x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias]
-        with kernels.fused_kernels(True):
-            h, c = cell(x, (h0, c0))
-            g_fused = grad((h * h).sum() + (c * c).sum(), wanted)
+        h, c = cell(x, (h0, c0))
+        g_fused = grad((h * h).sum() + (c * c).sum(), wanted)
 
         def value() -> float:
-            with kernels.fused_kernels(False):
-                h, c = cell(Tensor(x.data), (Tensor(h0.data),
-                                             Tensor(c0.data)))
+            h, c = oracle.lstm_cell(Tensor(x.data), Tensor(h0.data),
+                                    Tensor(c0.data), cell.weight_ih,
+                                    cell.weight_hh, cell.bias)
             return float((h.data ** 2).sum() + (c.data ** 2).sum())
 
         for tensor, gf in zip(wanted, g_fused):
@@ -145,10 +145,9 @@ class TestFusedLSTMCell:
     def test_higher_order_raises_with_clear_message(self):
         cell = self._cell()
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        with kernels.fused_kernels(True):
-            h, _ = cell(x, cell.initial_state(2))
-            with pytest.raises(RuntimeError, match="first-order"):
-                grad((h * h).sum(), [x], create_graph=True)
+        h, _ = cell(x, cell.initial_state(2))
+        with pytest.raises(RuntimeError, match="first-order"):
+            grad((h * h).sum(), [x], create_graph=True)
 
 
 class TestFusedLSTMSequence:
@@ -158,10 +157,8 @@ class TestFusedLSTMSequence:
     def test_forward_matches_reference(self):
         lstm = self._lstm()
         x = Tensor(RNG.normal(size=(4, 6, 3)))
-        with kernels.fused_kernels(True):
-            fused = lstm(x)
-        with kernels.fused_kernels(False):
-            reference = lstm(x)
+        fused = lstm(x)
+        reference = _oracle_lstm(lstm, x, lstm.cell.initial_state(4))
         assert fused.shape == (4, 6, 4)
         assert np.allclose(fused.data, reference.data, atol=1e-14)
 
@@ -172,10 +169,8 @@ class TestFusedLSTMSequence:
         h0 = Tensor(RNG.normal(size=(3, 4)) * 0.3, requires_grad=True)
         c0 = Tensor(RNG.normal(size=(3, 4)) * 0.3, requires_grad=True)
         wanted = [x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias]
-        with kernels.fused_kernels(True):
-            g_fused = grad((lstm(x, (h0, c0)) ** 2).sum(), wanted)
-        with kernels.fused_kernels(False):
-            g_ref = grad((lstm(x, (h0, c0)) ** 2).sum(), wanted)
+        g_fused = grad((lstm(x, (h0, c0)) ** 2).sum(), wanted)
+        g_ref = grad((_oracle_lstm(lstm, x, (h0, c0)) ** 2).sum(), wanted)
         for gf, gr in zip(g_fused, g_ref):
             assert gf.shape == gr.shape
             assert np.allclose(gf.data, gr.data, atol=1e-10)
@@ -188,12 +183,11 @@ class TestFusedLSTMSequence:
         h0 = Tensor(RNG.normal(size=(2, 4)) * 0.2, requires_grad=True)
         c0 = Tensor(RNG.normal(size=(2, 4)) * 0.2, requires_grad=True)
         wanted = [x, h0, c0, cell.weight_ih, cell.weight_hh, cell.bias]
-        with kernels.fused_kernels(True):
-            g_fused = grad((lstm(x, (h0, c0)) ** 2).sum(), wanted)
+        g_fused = grad((lstm(x, (h0, c0)) ** 2).sum(), wanted)
 
         def value() -> float:
-            with kernels.fused_kernels(False):
-                out = lstm(Tensor(x.data), (Tensor(h0.data), Tensor(c0.data)))
+            out = _oracle_lstm(lstm, Tensor(x.data),
+                               (Tensor(h0.data), Tensor(c0.data)))
             return float((out.data ** 2).sum())
 
         for tensor, gf in zip(wanted, g_fused):
@@ -203,32 +197,14 @@ class TestFusedLSTMSequence:
     def test_higher_order_raises_with_clear_message(self):
         lstm = self._lstm()
         x = Tensor(RNG.normal(size=(2, 3, 3)), requires_grad=True)
-        with kernels.fused_kernels(True):
-            out = lstm(x)
-            with pytest.raises(RuntimeError, match="fused_kernels"):
-                grad((out ** 2).sum(), [x], create_graph=True)
-
-    def test_rejects_non_3d(self):
-        cell = LSTMCell(3, 4, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="batch, time, features"):
-            kernels.lstm_sequence(Tensor(np.zeros((2, 3))),
-                                  Tensor(np.zeros((2, 4))),
-                                  Tensor(np.zeros((2, 4))),
-                                  cell.weight_ih, cell.weight_hh, cell.bias)
-
-
-class TestDispatchFlag:
-    def test_flag_scoping_restores_previous_value(self):
-        assert kernels.fused_enabled()
-        with kernels.fused_kernels(False):
-            assert not kernels.fused_enabled()
-            with kernels.fused_kernels(True):
-                assert kernels.fused_enabled()
-            assert not kernels.fused_enabled()
-        assert kernels.fused_enabled()
+        out = lstm(x)
+        with pytest.raises(RuntimeError, match="higher-order gradients "
+                           r"\(create_graph=True\) through the LSTM kernels "
+                           "are not supported"):
+            grad((out ** 2).sum(), [x], create_graph=True)
 
     def test_graph_node_reduction_per_lstm_step(self):
-        """The tentpole target: >=3x fewer graph nodes per LSTM step."""
+        """One graph node for the whole scan instead of ~17 per step."""
 
         def count_nodes(root: Tensor) -> int:
             seen, stack = set(), [root]
@@ -243,9 +219,33 @@ class TestDispatchFlag:
         lstm = LSTM(3, 4, rng=np.random.default_rng(8))
         steps = 6
         x = Tensor(RNG.normal(size=(2, steps, 3)), requires_grad=True)
-        with kernels.fused_kernels(True):
-            fused_nodes = count_nodes(lstm(x))
-        with kernels.fused_kernels(False):
-            reference_nodes = count_nodes(lstm(x))
-        assert reference_nodes >= 3 * fused_nodes
-        assert reference_nodes / steps >= 3 * max(fused_nodes / steps, 1 / steps)
+        fused_nodes = count_nodes(lstm(x))
+        reference_nodes = count_nodes(
+            _oracle_lstm(lstm, x, lstm.cell.initial_state(2)))
+        assert fused_nodes == 1
+        assert reference_nodes >= 3 * steps
+
+    def test_rejects_non_3d(self):
+        cell = LSTMCell(3, 4, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="batch, time, features"):
+            kernels.lstm_sequence(Tensor(np.zeros((2, 3))),
+                                  Tensor(np.zeros((2, 4))),
+                                  Tensor(np.zeros((2, 4))),
+                                  cell.weight_ih, cell.weight_hh, cell.bias)
+
+
+class TestSigmoidInto:
+    def test_bitwise_equal_to_stable_sigmoid(self):
+        """The buffered one-divide sigmoid the LSTM scan uses gives the
+        same bits as ops' stable sigmoid, at the clip edges, at the signed
+        zeros and on non-finite inputs too."""
+        special = [0.0, -0.0, 499.9, -499.9, 500.0, -500.0, 501.0, -501.0,
+                   np.inf, -np.inf, np.nan]
+        x = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                            np.linspace(-800.0, 800.0, 1601), special])
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        mask = np.empty(x.shape, dtype=bool)
+        got = kernels._sigmoid_into(x, out, tmp, mask)
+        want = ops._sigmoid_stable(x)
+        assert got is out
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

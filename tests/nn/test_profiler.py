@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.nn import MLP, Tensor, grad, kernels, profiler
+from repro.nn import MLP, Tensor, grad, profiler
 
 
 RNG = np.random.default_rng(17)
@@ -35,7 +35,7 @@ class TestOpProfiler:
         from repro.nn import LSTM
         lstm = LSTM(3, 4, rng=np.random.default_rng(1))
         x = Tensor(RNG.normal(size=(2, 5, 3)), requires_grad=True)
-        with kernels.fused_kernels(True), profiler.profile() as prof:
+        with profiler.profile() as prof:
             grad((lstm(x) ** 2).sum(), [x])
         stats = prof.stats()
         assert stats["lstm_sequence"]["calls"] == 1

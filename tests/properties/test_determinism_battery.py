@@ -7,10 +7,6 @@ Three guarantees, each enforced byte-for-byte:
 2. Telemetry is inert: parameters trained with telemetry on are
    bit-identical to parameters trained with it off.
 3. A serial sweep and a 2-worker sweep merge to the same ordered log.
-
-The training-level properties run under both the fused and the reference
-kernels (``fused_kernels(False)``), since instrumentation sits directly
-on the training loop both dispatch into.
 """
 
 import filecmp
@@ -21,15 +17,8 @@ import pytest
 from repro.core import DoppelGANger
 from repro.experiments.configs import TINY
 from repro.experiments.harness import clear_cache, run_sweep
-from repro.nn.kernels import fused_kernels
 from repro.observability import TelemetryRun
 from tests.conftest import tiny_dg_config
-
-
-@pytest.fixture(params=["fused", "reference"])
-def kernel_mode(request):
-    with fused_kernels(request.param == "fused"):
-        yield request.param
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +43,7 @@ def _params(model):
 
 class TestTrainingDeterminism:
     def test_same_config_seed_gives_byte_identical_exports(
-            self, tiny_gcut, tmp_path, kernel_mode):
+            self, tiny_gcut, tmp_path):
         _fit_with_telemetry(tiny_gcut, tmp_path / "a")
         _fit_with_telemetry(tiny_gcut, tmp_path / "b")
         for name in ("events.jsonl", "metrics.json", "report.md"):
@@ -62,7 +51,7 @@ class TestTrainingDeterminism:
                                tmp_path / "b" / name,
                                shallow=False), f"{name} differs"
 
-    def test_telemetry_is_inert(self, tiny_gcut, tmp_path, kernel_mode):
+    def test_telemetry_is_inert(self, tiny_gcut, tmp_path):
         plain = DoppelGANger(tiny_gcut.schema,
                              tiny_dg_config(iterations=4))
         plain.fit(tiny_gcut, log_every=1)

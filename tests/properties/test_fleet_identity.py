@@ -1,16 +1,8 @@
 """Fleet invariance battery: a multi-replica fleet is byte-identical to
 a single ``GenerationService`` -- for every replica count, every request
-interleaving, both kernel dispatches, and across an ``@latest`` flip.
-
-Runs inside the CI determinism battery (``tests/properties`` executes
-under ``REPRO_FUSED=0`` as well).  The fleet forks replica processes, so
-the fixture pins both the live kernel-dispatch flag *and* the
-``REPRO_FUSED`` environment variable for its lifetime -- fork children
-inherit the flag, spawn children re-read the variable, and either way
-every replica generates under the same dispatch as the direct control.
+interleaving, and across an ``@latest`` flip.
 """
 
-import os
 import threading
 from types import SimpleNamespace
 
@@ -18,35 +10,21 @@ import numpy as np
 import pytest
 
 from repro.core import DoppelGANger
-from repro.nn.kernels import fused_kernels
 from repro.serve import Fleet, ModelRegistry, ServeClient, Server
 from tests.conftest import tiny_dg_config
 from tests.serve.conftest import assert_datasets_identical
 
 
-@pytest.fixture(params=["fused", "reference"], scope="module")
-def fleet_world(request, tiny_gcut, tmp_path_factory):
-    """Two model versions published to a registry, under one dispatch."""
-    enabled = request.param == "fused"
-    previous = os.environ.get("REPRO_FUSED")
-    os.environ["REPRO_FUSED"] = "1" if enabled else "0"
-    try:
-        with fused_kernels(enabled):
-            v1 = DoppelGANger(tiny_gcut.schema,
-                              tiny_dg_config(iterations=6))
-            v1.fit(tiny_gcut)
-            v2 = DoppelGANger(tiny_gcut.schema,
-                              tiny_dg_config(iterations=4))
-            v2.fit(tiny_gcut)
-            registry = ModelRegistry(
-                tmp_path_factory.mktemp(f"fleet-reg-{request.param}"))
-            registry.publish("wwt", v1)
-            yield SimpleNamespace(registry=registry, v1=v1, v2=v2)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_FUSED", None)
-        else:
-            os.environ["REPRO_FUSED"] = previous
+@pytest.fixture(scope="module")
+def fleet_world(tiny_gcut, tmp_path_factory):
+    """Two model versions, the first published to a registry."""
+    v1 = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=6))
+    v1.fit(tiny_gcut)
+    v2 = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=4))
+    v2.fit(tiny_gcut)
+    registry = ModelRegistry(tmp_path_factory.mktemp("fleet-reg"))
+    registry.publish("wwt", v1)
+    return SimpleNamespace(registry=registry, v1=v1, v2=v2)
 
 
 def _direct(model, n, seed):

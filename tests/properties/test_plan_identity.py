@@ -2,9 +2,8 @@
 
 Training under the trace-and-replay plan compiler must be *bit-identical*
 to eager execution -- losses, trained parameters, and generated bytes --
-on every simulator schema and under both the fused and the reference
-kernels.  The serving path (``_generate_block``, the MicroBatcher hot
-path) is held to the same standard.
+on every simulator schema.  The serving path (``_generate_block``, the
+MicroBatcher hot path) is held to the same standard.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pytest
 
 from repro.core import DoppelGANger
 from repro.data import simulators as sims
-from repro.nn.kernels import fused_kernels
 from repro.nn.plan import plan_mode
 from tests.conftest import tiny_dg_config
 
@@ -40,15 +38,9 @@ def _train_and_generate(dataset, compiled: bool):
     return model, history, out, params
 
 
-@pytest.fixture(params=["fused", "reference"])
-def kernel_mode(request):
-    with fused_kernels(request.param == "fused"):
-        yield request.param
-
-
 class TestCompiledEqualsEager:
     @pytest.mark.parametrize("simulator", ["gcut", "wwt", "mba"])
-    def test_training_and_generation_bitwise(self, simulator, kernel_mode):
+    def test_training_and_generation_bitwise(self, simulator):
         dataset = _dataset(simulator)
         model_c, hist_c, out_c, params_c = _train_and_generate(
             dataset, compiled=True)
@@ -66,7 +58,7 @@ class TestCompiledEqualsEager:
         assert d_plan is not None and d_plan.stats["replays"] >= 1
         assert d_plan.stats["fallbacks"] == 0
 
-    def test_conditioned_generation_bitwise(self, kernel_mode):
+    def test_conditioned_generation_bitwise(self):
         dataset = _dataset("gcut")
         model, _, _, _ = _train_and_generate(dataset, compiled=True)
         attrs = dataset.attributes[:15]

@@ -1,10 +1,9 @@
 """Quality reports are byte-deterministic — the tentpole contract.
 
 A scored report must be a pure function of ``(real, synthetic, holdout,
-seed)``: identical across repeated runs, across sweep worker counts, and
-under either kernel dispatch (``REPRO_FUSED``).  Everything here asserts
-byte-identity of the canonical JSON/markdown exports, mirroring the
-existing determinism battery.
+seed)``: identical across repeated runs and across sweep worker counts.
+Everything here asserts byte-identity of the canonical JSON/markdown
+exports, mirroring the existing determinism battery.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.experiments.configs import TINY
 from repro.experiments.harness import clear_cache, run_sweep
 from repro.experiments.report import render_sweep_report
-from repro.nn.kernels import fused_kernels
 from repro.quality import QualityReport
 
 
@@ -49,20 +47,6 @@ class TestRepeatedRuns:
         b = QualityReport(real, synthetic, seed=1, downstream=True,
                           mlp_iterations=20)
         assert a.to_json() != b.to_json()
-
-
-class TestKernelDispatch:
-    @pytest.mark.parametrize("first,second", [(True, False)])
-    def test_fused_and_reference_agree(self, halves, first, second):
-        real, synthetic = halves
-        exports = []
-        for fused in (first, second):
-            with fused_kernels(fused):
-                report = QualityReport(real, synthetic, seed=0,
-                                       downstream=True,
-                                       mlp_iterations=20)
-            exports.append((report.to_json(), report.render_markdown()))
-        assert exports[0] == exports[1]
 
 
 class TestSweepWorkerInvariance:

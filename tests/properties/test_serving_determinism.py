@@ -1,10 +1,5 @@
 """Serving determinism: served output is byte-identical to direct
-generation, regardless of coalescing and under both kernel dispatches.
-
-Runs inside the CI determinism battery (``tests/properties`` is executed
-under ``REPRO_FUSED=0`` as well), so the contract is enforced for the
-fused and the reference kernels alike.
-"""
+generation, regardless of coalescing."""
 
 import threading
 from concurrent.futures import wait
@@ -13,18 +8,15 @@ import numpy as np
 import pytest
 
 from repro.core import DoppelGANger
-from repro.nn.kernels import fused_kernels
 from repro.serve import MicroBatcher, ServeClient, GenerationService, Server
 from tests.conftest import tiny_dg_config
 
 
-@pytest.fixture(params=["fused", "reference"], scope="module")
-def kernel_model(request, tiny_gcut):
-    """A model trained *and* served under one kernel dispatch mode."""
-    with fused_kernels(request.param == "fused"):
-        model = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=6))
-        model.fit(tiny_gcut)
-        yield model
+@pytest.fixture(scope="module")
+def served_model(tiny_gcut):
+    model = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=6))
+    model.fit(tiny_gcut)
+    return model
 
 
 def _identical(a, b):
@@ -33,21 +25,21 @@ def _identical(a, b):
     assert np.array_equal(a.lengths, b.lengths)
 
 
-def test_coalesced_requests_match_direct_generation(kernel_model):
+def test_coalesced_requests_match_direct_generation(served_model):
     """Eight concurrent seeds through one batcher == eight direct calls."""
-    with MicroBatcher(kernel_model, max_wait_ms=5.0) as batcher:
+    with MicroBatcher(served_model, max_wait_ms=5.0) as batcher:
         futures = {seed: batcher.submit(11 + seed, seed=seed)
                    for seed in range(8)}
         wait(futures.values(), timeout=120)
     for seed, future in futures.items():
         _identical(future.result(),
-                   kernel_model.generate(11 + seed,
+                   served_model.generate(11 + seed,
                                          rng=np.random.default_rng(seed)))
 
 
-def test_socket_serving_matches_direct_generation(kernel_model):
+def test_socket_serving_matches_direct_generation(served_model):
     """The full transport stack preserves the bytes under load."""
-    service = GenerationService({"m@1": kernel_model})
+    service = GenerationService({"m@1": served_model})
     with Server(service) as server:
         host, port = server.address
         results = {}
@@ -64,14 +56,14 @@ def test_socket_serving_matches_direct_generation(kernel_model):
             thread.join(timeout=60)
     for seed, served in results.items():
         _identical(served,
-                   kernel_model.generate(17,
+                   served_model.generate(17,
                                          rng=np.random.default_rng(seed)))
 
 
-def test_save_bytes_roundtrip_preserves_served_output(kernel_model):
+def test_save_bytes_roundtrip_preserves_served_output(served_model):
     """Publish-shaped roundtrip (save_bytes/load_bytes) is inert."""
-    clone = DoppelGANger.load_bytes(kernel_model.save_bytes())
+    clone = DoppelGANger.load_bytes(served_model.save_bytes())
     with MicroBatcher(clone) as batcher:
         served = batcher.submit(13, seed=21).result(timeout=60)
     _identical(served,
-               kernel_model.generate(13, rng=np.random.default_rng(21)))
+               served_model.generate(13, rng=np.random.default_rng(21)))

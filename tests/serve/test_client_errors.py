@@ -44,6 +44,16 @@ class _MisbehavingServer:
             conn.recv(16)
             time.sleep(5.0)
             conn.close()
+        elif self.mode == "truncate":
+            # Read the whole request, then die part-way through a reply
+            # whose prefix declares more payload bytes than are sent.
+            protocol.read_message(conn.makefile("rb"))
+            head = b'{"ok":true}'
+            conn.sendall(protocol._PREFIX.pack(protocol.MAGIC,
+                                               protocol.VERSION,
+                                               len(head), 64)
+                         + head + b"\0" * 10)
+            conn.close()
 
     def close(self):
         self.sock.close()
@@ -97,6 +107,21 @@ class TestMidRequestErrors:
             assert exc.value.code in (protocol.ERR_CONNECTION,)
             client.close()
         finally:
+            server.close()
+
+    def test_truncated_response_maps_to_connection(self):
+        """A reply cut off mid-payload is a transport failure the fleet
+        router retries, not a protocol error escaping to its caller."""
+        server = _MisbehavingServer("truncate")
+        try:
+            client = ServeClient("127.0.0.1", server.port, timeout=5.0)
+            with pytest.raises(ServeError) as exc:
+                client.ping()
+            assert exc.value.code == protocol.ERR_CONNECTION
+            assert "mid-frame" in str(exc.value)
+            client.close()
+        finally:
+            server.thread.join(timeout=5.0)
             server.close()
 
     def test_unresponsive_server_maps_to_timeout(self):
