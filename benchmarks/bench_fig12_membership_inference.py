@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import DoppelGANger
 from repro.experiments import get_dataset, make_dg_config, print_series
+from repro.experiments.configs import BENCH
 from repro.privacy import membership_inference_attack
 
 # Fixed training compute across sizes: with the same number of gradient
@@ -39,8 +40,10 @@ def test_fig12_membership_inference(once):
             order = rng.permutation(len(data))
             members = data[order[:size]]
             non_members = data[order[size:2 * size]]
+            # DGTrainer rejects a batch larger than the training set.
             config = make_dg_config("wwt", iterations=MIA_ITERATIONS,
-                                    seed=int(size))
+                                    seed=int(size),
+                                    batch_size=min(BENCH.batch_size, size))
             model = DoppelGANger(data.schema, config)
             model.fit(members)
             released = model.generate(N_RELEASED,

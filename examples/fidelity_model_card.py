@@ -2,9 +2,9 @@
 
 Before releasing model parameters (Figure 2), a data holder should check
 the §5.1 fidelity microbenchmarks and the §5.3 red flags (mode collapse,
-memorization).  This example trains a model on the GCUT simulator, runs
-:func:`repro.experiments.report.fidelity_report` against a held-out real
-split, and writes a markdown model card.
+memorization).  This example trains a model on the GCUT simulator, scores
+it with :class:`repro.quality.QualityReport` against a held-out real
+split, and writes the report as a markdown model card.
 
 Usage:  python examples/fidelity_model_card.py
 """
@@ -14,7 +14,11 @@ import numpy as np
 from repro import DGConfig, DoppelGANger
 from repro.data.simulators import generate_gcut
 from repro.data.splits import make_split
-from repro.experiments.report import fidelity_report, render_markdown
+from repro.quality import QualityReport
+
+# A diversity score (synthetic vs real spread, Figure 5) or memorization
+# score (NN-distance ratio, Figures 24-26) below this is a red flag.
+RED_FLAG = 0.3
 
 
 def main():
@@ -34,17 +38,21 @@ def main():
     synthetic = model.generate(len(split.train_real),
                                rng=np.random.default_rng(1))
 
-    report = fidelity_report(split.train_real, synthetic,
-                             holdout=split.test_real)
-    card = render_markdown(report, title="GCUT DoppelGANger model card")
+    report = QualityReport(split.train_real, synthetic,
+                           holdout=split.test_real, seed=0)
+    card = report.render_markdown(title="GCUT DoppelGANger model card")
     print(card)
 
     path = "/tmp/doppelganger_model_card.md"
     with open(path, "w") as handle:
         handle.write(card)
     print(f"\nmodel card written to {path}")
-    if report.mode_collapse_suspected or report.memorization_suspected:
-        print("WARNING: red flags detected -- review before release.")
+    scores = report.property_scores()
+    flags = [name for name in ("diversity", "memorization")
+             if scores.get(name, 1.0) < RED_FLAG]
+    if flags:
+        print(f"WARNING: red flags detected ({', '.join(flags)}) -- "
+              f"review before release.")
     else:
         print("No release red flags detected.")
 

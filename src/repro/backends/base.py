@@ -22,11 +22,13 @@ Contract notes (see docs/backends.md for the full rules):
   fingerprinted by :func:`repro.parallel.cache.config_fingerprint` to key
   the sweep result cache, so any field that changes training must appear
   in it.
-- ``save_bytes``/``load_bytes`` must round-trip byte-identically:
-  ``save_bytes(load_bytes(b)) == b`` for any blob the backend produced,
-  and the restored model must generate bit-identically to the original
-  for the same rng.  The serving registry and the sharded-generation
-  workers both rely on this.
+- ``save_bytes``/``load_bytes`` are concrete: every backend's models
+  share the one archive format of :mod:`repro.backends.archive`, which
+  the backend's ``model_class`` joins through ``archive_state`` /
+  ``from_archive``.  ``save_bytes(load_bytes(b)) == b`` for any
+  current-format blob, and the restored model generates bit-identically
+  to the original for the same rng.  The serving registry and the
+  sharded-generation workers both rely on this.
 - ``generate`` must be a pure function of (model state, rng): the same
   seeded rng always yields the same dataset, on any host, in any
   process.  The sweep digests and the serving determinism battery
@@ -69,6 +71,9 @@ class GeneratorBackend(abc.ABC):
     #: Extra names the backend answers to (e.g. ``dg``).
     aliases: tuple[str, ...] = ()
 
+    #: The model type this backend builds, saves and restores.
+    model_class: type = object
+
     # -- construction ------------------------------------------------------
     @abc.abstractmethod
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
@@ -97,17 +102,21 @@ class GeneratorBackend(abc.ABC):
         return model.generate(n, rng=rng)
 
     # -- persistence -------------------------------------------------------
-    @abc.abstractmethod
     def save_bytes(self, model) -> bytes:
-        """Serialize a fitted model to a self-describing archive."""
+        """Serialize a fitted model to the one model archive format."""
+        from repro.backends.archive import write_model
+        return write_model(model, self.name)
 
-    @abc.abstractmethod
     def load_bytes(self, blob: bytes):
-        """Inverse of :meth:`save_bytes`."""
+        """Inverse of :meth:`save_bytes`; an archive of another backend
+        raises :class:`ValueError` naming this one."""
+        from repro.backends.archive import read_model
+        return read_model(blob, expected=self)[0]
 
     def owns_model(self, model) -> bool:
-        """Whether ``model`` is an instance of this backend's model type."""
-        return False
+        """Whether ``model`` is exactly this backend's model type
+        (subclasses may carry state the archive does not cover)."""
+        return type(model) is self.model_class
 
     def describe(self) -> str:
         """One-line human description (docs, CLI listings)."""

@@ -1,18 +1,15 @@
 """Thin :class:`GeneratorBackend` adapters over the §5.0.1 baselines.
 
-Each baseline already implements ``fit``/``generate``; persistence rides
-the shared :func:`repro.baselines.persistence.save_baseline` npz format,
-buffered through memory so the backend seam's ``save_bytes``/``load_bytes``
-contract holds without touching the filesystem.
+Each baseline already implements ``fit``/``generate`` and the model
+archive hooks (``archive_state``/``from_archive``), so an adapter only
+names the class.
 """
 
 from __future__ import annotations
 
-import io
-
 from repro.backends.base import GeneratorBackend
 from repro.baselines import (ARBaseline, HMMBaseline, NaiveGANBaseline,
-                             RNNBaseline, load_baseline, save_baseline)
+                             RNNBaseline)
 from repro.data.schema import DataSchema
 
 __all__ = ["BaselineBackend", "BASELINE_BACKENDS"]
@@ -55,19 +52,6 @@ class BaselineBackend(GeneratorBackend):
         # Baselines learn the schema at fit() time; construction only
         # needs the hyper-parameters.
         return self.model_class(**dict(config))
-
-    def save_bytes(self, model) -> bytes:
-        buffer = io.BytesIO()
-        save_baseline(model, buffer)
-        return buffer.getvalue()
-
-    def load_bytes(self, blob: bytes):
-        return load_baseline(io.BytesIO(blob))
-
-    def owns_model(self, model) -> bool:
-        # Exact type match: subclasses may carry state this adapter's
-        # persistence format does not cover.
-        return type(model) is self.model_class
 
 
 BASELINE_BACKENDS = tuple(BaselineBackend(name) for name in _CLASSES)

@@ -33,16 +33,15 @@ byte-identical ``save_bytes``/``load_bytes`` round-trips.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 
-from repro.backends.base import GeneratorBackend
+from repro.backends.base import GeneratorBackend, get_backend
 from repro.baselines.base import make_baseline_encoder
 from repro.core.generator import BlockActivation, OutputBlock
 from repro.core.losses import critic_loss, generator_loss
 from repro.data.dataset import TimeSeriesDataset
-from repro.data.schema import DataSchema, schema_from_dict, schema_to_dict
+from repro.data.schema import DataSchema
 from repro.nn import MLP, Adam, Tensor, grad, no_grad, ops
 
 __all__ = ["DLGANConfig", "DLGAN", "DLGANBackend"]
@@ -337,48 +336,29 @@ class DLGAN:
             "refine_discriminator": self.refine_discriminator,
         }
 
-    def save_bytes(self) -> bytes:
-        """Serialize schema, config, encoder state, and weights to npz."""
+    def archive_state(self) -> tuple[dict, dict, dict]:
+        """(config, named modules, extra arrays) for the model archive."""
         if not self._built:
-            raise RuntimeError("fit() must be called before save_bytes()")
-        from repro.nn.serialization import arrays_to_bytes
+            raise RuntimeError("fit() must be called before saving")
+        return _config_to_dict(self.config), self._named_modules(), {}
 
-        meta = {
-            "format": "repro-dlgan",
-            "schema": schema_to_dict(self.schema),
-            "config": _config_to_dict(self.config),
-            "encoder": self.encoder.state(),
-        }
-        arrays = {"__meta__": np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-        for prefix, module in self._named_modules().items():
-            for name, value in module.state_dict().items():
-                arrays[f"{prefix}::{name}"] = value
-        return arrays_to_bytes(arrays)
+    @classmethod
+    def from_archive(cls, schema: DataSchema, config: dict,
+                     encoder_state: dict, arrays: dict) -> "DLGAN":
+        """An unloaded model rebuilt from archive metadata."""
+        model = cls(schema, _config_from_dict(config))
+        model.encoder.load_state(encoder_state)
+        model._build(np.random.default_rng(model.config.seed))
+        return model
+
+    def save_bytes(self) -> bytes:
+        """The model archive (:mod:`repro.backends.archive`) as bytes."""
+        return get_backend(DLGANBackend.name).save_bytes(self)
 
     @classmethod
     def load_bytes(cls, blob: bytes) -> "DLGAN":
         """Inverse of :meth:`save_bytes`."""
-        from repro.nn.serialization import bytes_to_arrays
-
-        arrays = bytes_to_arrays(blob)
-        if "__meta__" not in arrays:
-            raise ValueError("not a DLGAN model archive (no __meta__)")
-        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
-        if meta.get("format") != "repro-dlgan":
-            raise ValueError(
-                f"not a DLGAN model archive "
-                f"(format={meta.get('format')!r})")
-        model = cls(schema_from_dict(meta["schema"]),
-                    _config_from_dict(meta["config"]))
-        model.encoder.load_state(meta["encoder"])
-        model._build(np.random.default_rng(model.config.seed))
-        for prefix, module in model._named_modules().items():
-            state = {name.split("::", 1)[1]: value
-                     for name, value in arrays.items()
-                     if name.startswith(prefix + "::")}
-            module.load_state_dict(state)
-        return model
+        return get_backend(DLGANBackend.name).load_bytes(blob)
 
 
 class DLGANBackend(GeneratorBackend):
@@ -386,6 +366,7 @@ class DLGANBackend(GeneratorBackend):
     shape, arXiv:2508.21340)."""
 
     name = "dlgan"
+    model_class = DLGAN
 
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
                     **overrides) -> dict:
@@ -410,12 +391,3 @@ class DLGANBackend(GeneratorBackend):
         if not isinstance(config, DLGANConfig):
             config = _config_from_dict(dict(config))
         return DLGAN(schema, config)
-
-    def save_bytes(self, model: DLGAN) -> bytes:
-        return model.save_bytes()
-
-    def load_bytes(self, blob: bytes) -> DLGAN:
-        return DLGAN.load_bytes(blob)
-
-    def owns_model(self, model) -> bool:
-        return isinstance(model, DLGAN)

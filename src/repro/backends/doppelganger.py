@@ -26,6 +26,7 @@ class DoppelGANgerBackend(GeneratorBackend):
 
     name = "doppelganger"
     aliases = ("dg",)
+    model_class = DoppelGANger
 
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
                     **overrides) -> dict:
@@ -45,12 +46,3 @@ class DoppelGANgerBackend(GeneratorBackend):
                  rng: np.random.Generator | None = None,
                  workers: int = 1):
         return model.generate(n, rng=rng, workers=workers)
-
-    def save_bytes(self, model: DoppelGANger) -> bytes:
-        return model.save_bytes()
-
-    def load_bytes(self, blob: bytes) -> DoppelGANger:
-        return DoppelGANger.load_bytes(blob)
-
-    def owns_model(self, model) -> bool:
-        return isinstance(model, DoppelGANger)

@@ -68,7 +68,7 @@ class ARBaseline(GenerativeModel):
         x = np.asarray(inputs)
         y = np.asarray(targets)
 
-        self.mlp = MLP(x.shape[1], list(self.hidden), dim, rng=rng)
+        self._build(rng)
         optimizer = Adam(self.mlp.parameters(), lr=self.learning_rate)
         params = self.mlp.parameters()
         self.loss_history = []
@@ -87,6 +87,32 @@ class ARBaseline(GenerativeModel):
         self._first_std = firsts.std(axis=0) + 1e-6
         self.attribute_sampler.fit(dataset)
         return self
+
+    def _build(self, rng: np.random.Generator) -> None:
+        dim = self.encoder.feature_dim
+        self.mlp = MLP(self.encoder.attribute_dim + self.p * dim,
+                       list(self.hidden), dim, rng=rng)
+
+    def _config(self) -> dict:
+        return {"p": self.p, "hidden": list(self.hidden),
+                "learning_rate": self.learning_rate,
+                "batch_size": self.batch_size,
+                "iterations": self.iterations,
+                "noise_scale": self.noise_scale, "seed": self.seed}
+
+    def _modules(self) -> dict:
+        return {"mlp": self.mlp}
+
+    def _arrays(self) -> dict:
+        return {"ar::residual_std": self._residual_std,
+                "ar::first_mean": self._first_mean,
+                "ar::first_std": self._first_std}
+
+    def _restore(self, arrays: dict) -> None:
+        self._build(np.random.default_rng(self.seed))
+        self._residual_std = arrays["ar::residual_std"]
+        self._first_mean = arrays["ar::first_mean"]
+        self._first_std = arrays["ar::first_std"]
 
     def _predict_numpy(self, x: np.ndarray) -> np.ndarray:
         out = self.mlp(Tensor(x))

@@ -20,7 +20,17 @@ __all__ = ["GenerativeModel", "EmpiricalAttributeSampler"]
 
 
 class GenerativeModel(abc.ABC):
-    """Common fit/generate interface shared with DoppelGANger."""
+    """Common fit/generate interface shared with DoppelGANger.
+
+    Also the baselines' side of the model archive
+    (:mod:`repro.backends.archive`): :meth:`archive_state` and
+    :meth:`from_archive` are shared, and each subclass supplies
+    :meth:`_config` (its full constructor kwargs), :meth:`_modules`,
+    :meth:`_arrays` and :meth:`_restore`.  A baseline with an
+    ``attribute_sampler`` stores its rows as ``sampler::rows``: these
+    archives carry raw training attributes (the §5.0.1 caveat), which the
+    archive records as ``leaks_training_attributes``.
+    """
 
     name: str = "model"
 
@@ -32,6 +42,48 @@ class GenerativeModel(abc.ABC):
     def generate(self, n: int,
                  rng: np.random.Generator | None = None) -> TimeSeriesDataset:
         """Sample ``n`` synthetic objects."""
+
+    # -- model archive -----------------------------------------------------
+    def archive_state(self) -> tuple[dict, dict, dict]:
+        """(config, named modules, extra arrays) for the model archive."""
+        if self.encoder is None:
+            raise RuntimeError("model must be fitted before saving")
+        arrays = {}
+        if hasattr(self, "attribute_sampler"):
+            arrays["sampler::rows"] = self.attribute_sampler._rows
+        arrays.update(self._arrays())
+        return self._config(), self._modules(), arrays
+
+    @classmethod
+    def from_archive(cls, schema: DataSchema, config: dict,
+                     encoder_state: dict, arrays: dict) -> "GenerativeModel":
+        """An unloaded model rebuilt from archive metadata and arrays."""
+        model = cls(**{key: tuple(value) if isinstance(value, list)
+                       else value for key, value in config.items()})
+        model.schema = schema
+        model.encoder = make_baseline_encoder(schema).load_state(
+            encoder_state)
+        if hasattr(model, "attribute_sampler"):
+            model.attribute_sampler._rows = arrays["sampler::rows"]
+        model._restore(arrays)
+        return model
+
+    @abc.abstractmethod
+    def _config(self) -> dict:
+        """Full constructor kwargs, JSON-serializable."""
+
+    def _modules(self) -> dict:
+        """Named modules whose parameters the archive stores."""
+        return {}
+
+    def _arrays(self) -> dict:
+        """Named fitted arrays outside modules (beyond the sampler)."""
+        return {}
+
+    @abc.abstractmethod
+    def _restore(self, arrays: dict) -> None:
+        """Set fitted arrays and build (unloaded) modules on a model whose
+        schema and encoder were just restored."""
 
 
 class EmpiricalAttributeSampler:

@@ -169,6 +169,22 @@ class HMMBaseline(GenerativeModel):
         minmax = np.zeros((n, 0))
         return self.encoder.inverse(attrs_enc, minmax, features)
 
+    def _config(self) -> dict:
+        return {"n_states": self.hmm.n_states, "n_iter": self.hmm.n_iter,
+                "seed": self.hmm.seed}
+
+    def _arrays(self) -> dict:
+        return {"hmm::start": self.hmm.start_prob,
+                "hmm::transition": self.hmm.transition,
+                "hmm::means": self.hmm.means,
+                "hmm::variances": self.hmm.variances}
+
+    def _restore(self, arrays: dict) -> None:
+        self.hmm.start_prob = arrays["hmm::start"]
+        self.hmm.transition = arrays["hmm::transition"]
+        self.hmm.means = arrays["hmm::means"]
+        self.hmm.variances = arrays["hmm::variances"]
+
 
 def _first_end_step(flags: np.ndarray) -> int:
     """Index of the first step whose end flag dominates (or the last step)."""

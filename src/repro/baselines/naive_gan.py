@@ -57,6 +57,32 @@ class NaiveGANBaseline(GenerativeModel):
         blocks.extend(step * self.schema.max_length)
         return blocks
 
+    def _build(self, rng: np.random.Generator) -> None:
+        self.activation = BlockActivation(self._build_blocks())
+        out_dim = (self.encoder.attribute_dim
+                   + self.schema.max_length * self.encoder.feature_dim)
+        self.generator = MLP(self.noise_dim, list(self.generator_hidden),
+                             out_dim, rng=rng)
+        self.discriminator = MLP(out_dim, list(self.discriminator_hidden), 1,
+                                 rng=rng)
+
+    def _config(self) -> dict:
+        return {"noise_dim": self.noise_dim,
+                "generator_hidden": list(self.generator_hidden),
+                "discriminator_hidden": list(self.discriminator_hidden),
+                "learning_rate": self.learning_rate,
+                "batch_size": self.batch_size,
+                "iterations": self.iterations,
+                "gradient_penalty_weight": self.gradient_penalty_weight,
+                "seed": self.seed}
+
+    def _modules(self) -> dict:
+        return {"generator": self.generator,
+                "discriminator": self.discriminator}
+
+    def _restore(self, arrays: dict) -> None:
+        self._build(np.random.default_rng(self.seed))
+
     def fit(self, dataset: TimeSeriesDataset) -> "NaiveGANBaseline":
         rng = np.random.default_rng(self.seed)
         self.schema = dataset.schema
@@ -68,13 +94,9 @@ class NaiveGANBaseline(GenerativeModel):
              encoded.features.reshape(n, -1)], axis=1)
         out_dim = flat_real.shape[1]
 
-        self.activation = BlockActivation(self._build_blocks())
+        self._build(rng)
         if self.activation.dimension != out_dim:
             raise RuntimeError("output block layout does not match data")
-        self.generator = MLP(self.noise_dim, list(self.generator_hidden),
-                             out_dim, rng=rng)
-        self.discriminator = MLP(out_dim, list(self.discriminator_hidden), 1,
-                                 rng=rng)
         g_params = self.generator.parameters()
         d_params = self.discriminator.parameters()
         g_opt = Adam(g_params, lr=self.learning_rate)

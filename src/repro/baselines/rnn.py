@@ -52,8 +52,7 @@ class RNNBaseline(GenerativeModel):
                                  encoded.lengths)
         n, tmax, dim = feats.shape
 
-        self.cell = LSTMCell(attrs.shape[1] + dim, self.hidden_size, rng=rng)
-        self.readout = Linear(self.hidden_size, dim, rng=rng)
+        self._build(rng)
         params = self.cell.parameters() + self.readout.parameters()
         optimizer = Adam(params, lr=self.learning_rate)
 
@@ -69,6 +68,30 @@ class RNNBaseline(GenerativeModel):
         firsts = feats[np.arange(n), 0]
         self._finalize_fit(dataset, firsts)
         return self
+
+    def _build(self, rng: np.random.Generator) -> None:
+        dim = self.encoder.feature_dim
+        self.cell = LSTMCell(self.encoder.attribute_dim + dim,
+                             self.hidden_size, rng=rng)
+        self.readout = Linear(self.hidden_size, dim, rng=rng)
+
+    def _config(self) -> dict:
+        return {"hidden_size": self.hidden_size,
+                "learning_rate": self.learning_rate,
+                "batch_size": self.batch_size,
+                "iterations": self.iterations, "seed": self.seed}
+
+    def _modules(self) -> dict:
+        return {"cell": self.cell, "readout": self.readout}
+
+    def _arrays(self) -> dict:
+        return {"rnn::first_mean": self._first_mean,
+                "rnn::first_std": self._first_std}
+
+    def _restore(self, arrays: dict) -> None:
+        self._build(np.random.default_rng(self.seed))
+        self._first_mean = arrays["rnn::first_mean"]
+        self._first_std = arrays["rnn::first_std"]
 
     def _fused_loss(self, attrs: np.ndarray, feats: np.ndarray,
                     mask: np.ndarray) -> Tensor:

@@ -57,7 +57,7 @@ from repro.data.dataset import TimeSeriesDataset
 from repro.data.simulators import (generate_flashcrowd, generate_gcut,
                                    generate_mba, generate_regime,
                                    generate_wwt)
-from repro.resilience.atomic import atomic_open, canonical_json
+from repro.resilience.atomic import atomic_open, canonical_json, write_atomic
 
 __all__ = ["main", "build_parser"]
 
@@ -421,8 +421,7 @@ def _train_other_backend(args, data) -> int:
         discriminator_hidden=(width, width))
     model = backend.from_config(data.schema, config)
     backend.fit(model, data)
-    with open(args.out, "wb") as handle:
-        handle.write(backend.save_bytes(model))
+    write_atomic(args.out, backend.save_bytes(model))
     print(f"model parameters written to {args.out} "
           f"(backend {backend.name})")
     return 0

@@ -10,9 +10,7 @@ or an obfuscated one (business-secret privacy, §5.3.2).
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import zipfile
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from repro.core.generator import (AttributeGenerator, FeatureGenerator,
 from repro.core.trainer import DGTrainer, TrainingHistory
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.encoding import DataEncoder
-from repro.data.schema import DataSchema, schema_from_dict, schema_to_dict
+from repro.data.schema import DataSchema
 from repro.nn import Tensor, grad, no_grad
 
 __all__ = ["DoppelGANger", "config_to_dict", "config_from_dict"]
@@ -388,83 +386,57 @@ class DoppelGANger:
         return losses
 
     # -- persistence -----------------------------------------------------------
-    def _state_arrays(self) -> dict:
-        """Full model state (meta + weights) as a flat array dict."""
+    def archive_state(self) -> tuple[dict, dict, dict]:
+        """(config, named modules, extra arrays) for the model archive
+        (:mod:`repro.backends.archive`)."""
         self._require_trained()
-        meta = {
-            "schema": schema_to_dict(self.schema),
-            "config": config_to_dict(self.config),
-            "encoder": self.encoder.state(),
-        }
-        arrays = {"__meta__": np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-        modules = self._named_modules()
-        for prefix, module in modules.items():
-            for name, value in module.state_dict().items():
-                arrays[f"{prefix}::{name}"] = value
-        return arrays
+        return config_to_dict(self.config), self._named_modules(), {}
 
     @classmethod
-    def _from_state_arrays(cls, arrays: dict) -> "DoppelGANger":
-        """Rebuild a model from the dict produced by :meth:`_state_arrays`."""
-        if "__meta__" not in arrays:
-            raise ValueError("not a DoppelGANger model archive "
-                             "(no __meta__ entry)")
-        meta = json.loads(bytes(arrays["__meta__"].tobytes()).decode())
-        weights = {key: value for key, value in arrays.items()
-                   if key != "__meta__"}
-        schema = schema_from_dict(meta["schema"])
-        config = config_from_dict(meta["config"])
-        model = cls(schema, config)
-        model.encoder.load_state(meta["encoder"])
+    def from_archive(cls, schema: DataSchema, config: dict,
+                     encoder_state: dict, arrays: dict) -> "DoppelGANger":
+        """An unloaded model rebuilt from archive metadata."""
+        model = cls(schema, config_from_dict(config))
+        model.encoder.load_state(encoder_state)
         model._build()
-        for prefix, module in model._named_modules().items():
-            state = {name.split("::", 1)[1]: value
-                     for name, value in weights.items()
-                     if name.startswith(prefix + "::")}
-            module.load_state_dict(state)
         return model
 
     def save(self, path) -> None:
-        """Persist schema, config, encoder state, and all weights (npz)."""
-        np.savez(path, **self._state_arrays())
+        """Atomically write the model archive to exactly ``path``."""
+        from repro.resilience.atomic import write_atomic
+        write_atomic(path, self.save_bytes())
 
     @classmethod
     def load(cls, path) -> "DoppelGANger":
         """Restore a model saved by :meth:`save`.
 
         Missing, truncated, or non-model files raise a clear
-        :class:`ValueError` naming the path, instead of a bare numpy or
-        zipfile error from deep inside the archive reader.
+        :class:`ValueError` instead of a bare OS or zipfile error.
         """
         try:
-            with np.load(path) as archive:
-                arrays = {key: archive[key] for key in archive.files}
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
             raise ValueError(
                 f"cannot read model archive {os.fspath(path)!r}: the file "
                 f"is missing, corrupted, or truncated ({exc})") from exc
-        if "__meta__" not in arrays:
-            raise ValueError(
-                f"{os.fspath(path)!r} is not a DoppelGANger model archive "
-                f"(no __meta__ entry)")
-        return cls._from_state_arrays(arrays)
+        return cls.load_bytes(blob)
 
     def save_bytes(self) -> bytes:
-        """Serialize the full model to ``.npz`` bytes (no filesystem).
+        """The model archive as bytes (no filesystem).
 
         This is the payload handed to sharded-generation workers: each
         worker reconstructs the model with :meth:`load_bytes` and draws
         its assigned noise blocks.
         """
-        from repro.nn.serialization import arrays_to_bytes
-        return arrays_to_bytes(self._state_arrays())
+        from repro.backends import get_backend
+        return get_backend("doppelganger").save_bytes(self)
 
     @classmethod
     def load_bytes(cls, blob: bytes) -> "DoppelGANger":
         """Inverse of :meth:`save_bytes`."""
-        from repro.nn.serialization import bytes_to_arrays
-        return cls._from_state_arrays(bytes_to_arrays(blob))
+        from repro.backends import get_backend
+        return get_backend("doppelganger").load_bytes(blob)
 
     def _named_modules(self) -> dict:
         modules = {

@@ -305,7 +305,7 @@ class DGTrainer:
     # -- update steps ----------------------------------------------------------
     def discriminator_step(self, data: EncodedDataset) -> tuple[float, float]:
         """One critic update; returns (loss, wasserstein estimate)."""
-        batch = min(self.config.batch_size, len(data))
+        batch = self.config.batch_size
         noise = self._draw_step_noise(batch)
         idx = self.rng.integers(0, len(data), size=batch)
         real_arrays = (data.attributes[idx], data.minmax[idx],

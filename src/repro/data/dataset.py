@@ -16,6 +16,7 @@ generation flags of §4.1.1) is done by :mod:`repro.data.encoding`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -105,11 +106,21 @@ class TimeSeriesDataset:
         return self.features[:, :, names.index(name)]
 
     def save(self, path) -> None:
-        """Persist the dataset (arrays + schema) as an npz archive."""
+        """Persist the dataset (arrays + schema) as an npz archive.
+
+        ``path`` is written exactly as given (no ``.npz`` is appended)
+        and atomically; a writable binary handle is written in place.
+        """
+        # Imported lazily: repro.resilience imports the nn stack.
+        from repro.resilience.atomic import atomic_open
+
         meta = json.dumps(schema_to_dict(self.schema)).encode("utf-8")
-        np.savez(path, __schema__=np.frombuffer(meta, dtype=np.uint8),
-                 attributes=self.attributes, features=self.features,
-                 lengths=self.lengths)
+        target = (contextlib.nullcontext(path) if hasattr(path, "write")
+                  else atomic_open(path))
+        with target as handle:
+            np.savez(handle, __schema__=np.frombuffer(meta, dtype=np.uint8),
+                     attributes=self.attributes, features=self.features,
+                     lengths=self.lengths)
 
     @classmethod
     def load(cls, path) -> "TimeSeriesDataset":

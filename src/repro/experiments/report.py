@@ -1,183 +1,21 @@
-"""Fidelity report: the §5.1 microbenchmarks for any trained model.
+"""Sweep reports: deterministic markdown, digests, failures and timings.
 
-Data holders deciding whether a model is good enough to release need the
-paper's structural checks in one place.  :func:`fidelity_report` compares a
-synthetic dataset against the real one and returns a structured
-:class:`FidelityReport`; :func:`render_markdown` turns it into a shareable
-model card.
-
-Checks included (paper section in brackets):
-
-- per-feature autocorrelation MSE (§5.1, Figure 1);
-- series-length Wasserstein-1 distance (Figure 7);
-- per-attribute Jensen-Shannon divergence (Figure 8, Figures 15-23);
-- sample-diversity ratio, flagging mode collapse (Figure 5);
-- nearest-neighbour memorization ratio (§5.1, Figures 24-26).
+A multi-model sweep renders as markdown that is a pure function of its
+trained models and failure records (:func:`render_sweep_report`), with
+run-dependent timings kept apart (:func:`timing_summary`).  Scoring one
+model's synthetic data against the real data is
+:class:`repro.quality.QualityReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.data.dataset import TimeSeriesDataset
-from repro.metrics import (autocorrelation_mse, average_autocorrelation,
-                           categorical_jsd, cross_correlation_error,
-                           diversity_score, memorization_ratio,
-                           wasserstein1)
 from repro.observability.report import render_run_report
 from repro.resilience.failures import FailureRecord
 
-__all__ = ["FidelityReport", "fidelity_report", "render_markdown",
-           "failure_summary", "timing_summary", "sweep_digest",
+__all__ = ["failure_summary", "timing_summary", "sweep_digest",
            "render_sweep_report", "render_run_report"]
-
-# Thresholds used for the pass/warn verdicts in the rendered report.
-_DIVERSITY_COLLAPSE_RATIO = 0.3
-_MEMORIZATION_FLOOR = 0.3
-
-
-@dataclass
-class FidelityReport:
-    """Structured output of :func:`fidelity_report`."""
-
-    n_real: int
-    n_synthetic: int
-    acf_mse: dict[str, float] = field(default_factory=dict)
-    length_w1: float | None = None
-    cross_correlation: float | None = None
-    attribute_jsd: dict[str, float] = field(default_factory=dict)
-    diversity_real: dict[str, float] = field(default_factory=dict)
-    diversity_synthetic: dict[str, float] = field(default_factory=dict)
-    memorization: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def mode_collapse_suspected(self) -> bool:
-        """True when any feature's diversity ratio collapses (Figure 5)."""
-        for name, real in self.diversity_real.items():
-            if real <= 0:
-                continue
-            if (self.diversity_synthetic.get(name, 0.0) / real
-                    < _DIVERSITY_COLLAPSE_RATIO):
-                return True
-        return False
-
-    @property
-    def memorization_suspected(self) -> bool:
-        """True when synthetic data hugs the training set (Figures 24-26)."""
-        return any(v < _MEMORIZATION_FLOOR for v in
-                   self.memorization.values())
-
-
-def fidelity_report(real: TimeSeriesDataset, synthetic: TimeSeriesDataset,
-                    holdout: TimeSeriesDataset | None = None,
-                    max_lag: int | None = None) -> FidelityReport:
-    """Compute the §5.1 microbenchmarks of ``synthetic`` vs ``real``.
-
-    Args:
-        real: The (training) dataset the model was fit on.
-        synthetic: Generated data to evaluate.
-        holdout: Optional real data NOT used for training; enables the
-            memorization check (ratio of NN distances).
-        max_lag: ACF horizon (defaults to half the series length).
-    """
-    if real.schema != synthetic.schema:
-        raise ValueError("real and synthetic schemas differ")
-    report = FidelityReport(n_real=len(real), n_synthetic=len(synthetic))
-    max_lag = max_lag or max(real.schema.max_length // 2, 1)
-
-    for spec in real.schema.features:
-        if spec.is_categorical:
-            continue
-        real_acf = average_autocorrelation(real.feature_column(spec.name),
-                                           real.lengths, max_lag=max_lag)
-        syn_acf = average_autocorrelation(
-            synthetic.feature_column(spec.name), synthetic.lengths,
-            max_lag=max_lag)
-        try:
-            report.acf_mse[spec.name] = autocorrelation_mse(real_acf,
-                                                            syn_acf)
-        except ValueError:
-            report.acf_mse[spec.name] = float("nan")
-        report.diversity_real[spec.name] = diversity_score(
-            real.feature_column(spec.name))
-        report.diversity_synthetic[spec.name] = diversity_score(
-            synthetic.feature_column(spec.name))
-
-    if sum(1 for f in real.schema.features if not f.is_categorical) > 1:
-        try:
-            report.cross_correlation = cross_correlation_error(real,
-                                                               synthetic)
-        except ValueError:
-            report.cross_correlation = None
-
-    if real.lengths.std() > 0 or synthetic.lengths.std() > 0:
-        report.length_w1 = wasserstein1(real.lengths.astype(float),
-                                        synthetic.lengths.astype(float))
-
-    for spec in real.schema.attributes:
-        if not spec.is_categorical:
-            continue
-        report.attribute_jsd[spec.name] = categorical_jsd(
-            real.attribute_column(spec.name).astype(int),
-            synthetic.attribute_column(spec.name).astype(int),
-            spec.dimension)
-
-    if holdout is not None:
-        for spec in real.schema.features:
-            if spec.is_categorical:
-                continue
-            report.memorization[spec.name] = memorization_ratio(
-                _normalise(synthetic.feature_column(spec.name)),
-                _normalise(real.feature_column(spec.name)),
-                _normalise(holdout.feature_column(spec.name)))
-    return report
-
-
-def render_markdown(report: FidelityReport, title: str = "Fidelity report"
-                    ) -> str:
-    """Render a report as a markdown model card."""
-    lines = [f"# {title}", "",
-             f"- real objects: {report.n_real}",
-             f"- synthetic objects: {report.n_synthetic}", ""]
-    if report.acf_mse:
-        lines += ["## Temporal correlations (Figure 1)", "",
-                  "| feature | ACF MSE |", "|---|---|"]
-        lines += [f"| {k} | {v:.4f} |" for k, v in report.acf_mse.items()]
-        lines.append("")
-    if report.length_w1 is not None:
-        lines += ["## Series lengths (Figure 7)", "",
-                  f"Wasserstein-1 distance: **{report.length_w1:.3f}**", ""]
-    if report.cross_correlation is not None:
-        lines += ["## Cross-feature correlations", "",
-                  "Mean absolute error of the feature-feature correlation "
-                  f"matrix: **{report.cross_correlation:.3f}**", ""]
-    if report.attribute_jsd:
-        lines += ["## Attribute marginals (Figure 8)", "",
-                  "| attribute | JSD |", "|---|---|"]
-        lines += [f"| {k} | {v:.4f} |"
-                  for k, v in report.attribute_jsd.items()]
-        lines.append("")
-    if report.diversity_synthetic:
-        verdict = ("**suspected — inspect samples (Figure 5)**"
-                   if report.mode_collapse_suspected else "not detected")
-        lines += ["## Mode collapse", "",
-                  "| feature | real diversity | synthetic diversity |",
-                  "|---|---|---|"]
-        lines += [f"| {k} | {report.diversity_real[k]:.3f} | "
-                  f"{report.diversity_synthetic[k]:.3f} |"
-                  for k in report.diversity_synthetic]
-        lines += ["", f"Verdict: {verdict}", ""]
-    if report.memorization:
-        verdict = ("**suspected — do not release (Figures 24-26)**"
-                   if report.memorization_suspected else "not detected")
-        lines += ["## Memorization", "",
-                  "| feature | NN-distance ratio |", "|---|---|"]
-        lines += [f"| {k} | {v:.3f} |"
-                  for k, v in report.memorization.items()]
-        lines += ["", f"Verdict: {verdict}", ""]
-    return "\n".join(lines)
 
 
 def failure_summary(failures: list[FailureRecord],
@@ -304,8 +142,3 @@ def render_sweep_report(result, n: int = 16, seed: int = 0,
         lines.append(failures)
     return "\n".join(lines)
 
-
-def _normalise(rows: np.ndarray) -> np.ndarray:
-    mean = rows.mean(axis=1, keepdims=True)
-    std = rows.std(axis=1, keepdims=True) + 1e-9
-    return (rows - mean) / std

@@ -21,7 +21,6 @@ from repro.nn.optim import (SGD, Adam, Optimizer, StepLR,
                             clip_grad_norm, grad_norm)
 from repro.nn.plan import PlanFunction, PlanUnsupported, plan_mode
 from repro.nn.profiler import OpProfiler, profile
-from repro.nn.serialization import load_module, save_module
 from repro.nn.tensor import Parameter, Tensor, astensor, grad, no_grad
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "grad_norm",
     "DPGradientProcessor", "compute_rdp", "rdp_to_epsilon",
     "compute_epsilon", "noise_multiplier_for_epsilon",
-    "save_module", "load_module",
 ]

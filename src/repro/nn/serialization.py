@@ -1,14 +1,14 @@
-"""Save / load module parameters and full training state as ``.npz``.
+"""npz building blocks: in-memory archives, atomic writes, training state.
 
-This implements the "release model parameters" step of the paper's workflow
-(Figure 2) -- the data holder trains DoppelGANger and ships the parameter
-file to the data consumer, who regenerates synthetic data locally -- plus
-the training-state snapshots behind checkpoint/resume in
-:mod:`repro.resilience`.
+Model archives -- the "release model parameters" step of the paper's
+workflow (Figure 2) -- have one format for every backend, written and read
+only by :mod:`repro.backends.archive`; it encodes them with
+:func:`arrays_to_bytes` and decodes them with :func:`bytes_to_arrays`.
 
-Training-state archives hold everything needed to continue a run
-bit-identically: every module parameter, every optimizer moment, the RNG
-bit-generator state, and the iteration counter.  Writes are atomic
+Training-state archives (:func:`save_training_state`) hold everything
+needed to continue a run bit-identically: every module parameter, every
+optimizer moment, the RNG bit-generator state, and the iteration counter.
+They back checkpoint/resume in :mod:`repro.resilience`.  Writes are atomic
 (temp file + ``os.replace``) so a process killed mid-write can never leave
 a truncated checkpoint behind -- the previous checkpoint survives intact.
 """
@@ -25,50 +25,11 @@ import numpy as np
 from repro.nn.layers import Module
 from repro.nn.optim import Optimizer
 
-__all__ = ["save_module", "load_module", "save_npz_atomic",
-           "arrays_to_bytes", "bytes_to_arrays",
+__all__ = ["save_npz_atomic", "arrays_to_bytes", "bytes_to_arrays",
            "save_training_state", "load_training_state", "TrainingState"]
 
 _STATE_FORMAT = "repro-training-state"
 _STATE_VERSION = 1
-
-
-def save_module(module: Module, path: str | os.PathLike) -> None:
-    """Write all named parameters of ``module`` to ``path`` (npz)."""
-    state = module.state_dict()
-    np.savez(path, **state)
-
-
-def load_module(module: Module, path: str | os.PathLike) -> None:
-    """Load parameters saved by :func:`save_module` into ``module``.
-
-    The archive is validated before any parameter is touched: unreadable
-    or truncated files raise a clear :class:`ValueError`, key mismatches
-    raise :class:`KeyError` listing the offending names, and shape
-    mismatches raise :class:`ValueError` naming the parameter (rather
-    than a bare numpy broadcast error deep in the assignment).
-    """
-    try:
-        with np.load(path) as archive:
-            state = {name: archive[name] for name in archive.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(
-            f"cannot read module archive {os.fspath(path)!r}: the file is "
-            f"missing, corrupted, or truncated ({exc})") from exc
-    own = dict(module.named_parameters())
-    missing = sorted(set(own) - set(state))
-    unexpected = sorted(set(state) - set(own))
-    if missing or unexpected:
-        raise KeyError(
-            f"archive {os.fspath(path)!r} does not match the module: "
-            f"missing={missing}, unexpected={unexpected}")
-    for name, value in state.items():
-        if own[name].data.shape != value.shape:
-            raise ValueError(
-                f"shape mismatch for parameter {name!r} in "
-                f"{os.fspath(path)!r}: module expects "
-                f"{own[name].data.shape}, archive holds {value.shape}")
-    module.load_state_dict(state)
 
 
 # -- in-memory archives ------------------------------------------------------
@@ -85,14 +46,19 @@ def arrays_to_bytes(arrays: dict) -> bytes:
     return buffer.getvalue()
 
 
-def bytes_to_arrays(blob: bytes) -> dict:
-    """Inverse of :func:`arrays_to_bytes`; raises ValueError on corruption."""
+def bytes_to_arrays(blob: bytes, names=None) -> dict:
+    """Inverse of :func:`arrays_to_bytes`; raises ValueError on corruption.
+
+    With ``names``, only those entries (where present) are decoded.
+    """
     try:
         with np.load(io.BytesIO(blob)) as archive:
-            return {name: archive[name] for name in archive.files}
+            return {name: archive[name] for name in archive.files
+                    if names is None or name in names}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(
-            f"cannot decode in-memory npz archive ({exc})") from exc
+            f"cannot decode npz archive: the bytes are missing, corrupted, "
+            f"or truncated ({exc})") from exc
 
 
 # -- atomic writes -----------------------------------------------------------

@@ -129,6 +129,21 @@ class TestSniffing:
         with pytest.raises(ValueError, match="npz"):
             sniff_backend(b"not an archive at all")
 
+    @pytest.mark.parametrize("meta, match", [
+        ({"format": "repro-model", "version": 2}, "version 2"),
+        ({"format": "repro-training-state"}, "not a model format"),
+        ({"kind": "XYZ"}, "unknown baseline kind"),
+        ([1, 2], "not a JSON object"),
+    ])
+    def test_sniff_rejects_non_model_meta(self, meta, match):
+        import json
+
+        from repro.nn.serialization import arrays_to_bytes
+        blob = arrays_to_bytes({"__meta__": np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8)})
+        with pytest.raises(ValueError, match=match):
+            sniff_backend(blob)
+
     def test_load_model_bytes_returns_model_and_backend(self, fitted):
         backend = get_backend("dlgan")
         blob = backend.save_bytes(fitted["dlgan"])

@@ -1,11 +1,16 @@
-"""Tests for baseline save/load."""
+"""Tests for baseline save/load through the model archive."""
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.baselines import (ARBaseline, HMMBaseline, NaiveGANBaseline,
                              RNNBaseline)
-from repro.baselines.persistence import load_baseline, save_baseline
+from repro.nn.serialization import bytes_to_arrays
+
+NAMES = ["hmm", "ar", "rnn", "naive_gan"]
 
 
 def fitted_models(dataset):
@@ -28,31 +33,27 @@ def models(tiny_gcut):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("index", range(4),
-                             ids=["hmm", "ar", "rnn", "naive_gan"])
-    def test_identical_generation_after_reload(self, models, index,
-                                               tmp_path):
+    @pytest.mark.parametrize("index", range(4), ids=NAMES)
+    def test_identical_generation_after_reload(self, models, index):
         model = models[index]
-        path = tmp_path / "baseline.npz"
-        save_baseline(model, path)
-        loaded = load_baseline(path)
+        backend = get_backend(NAMES[index])
+        loaded = backend.load_bytes(backend.save_bytes(model))
         a = model.generate(8, rng=np.random.default_rng(3))
         b = loaded.generate(8, rng=np.random.default_rng(3))
-        assert np.allclose(a.features, b.features)
+        assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.attributes, b.attributes)
         assert np.array_equal(a.lengths, b.lengths)
 
-    def test_unfitted_model_rejected(self, tmp_path):
+    def test_unfitted_model_rejected(self):
         with pytest.raises(RuntimeError, match="fitted"):
-            save_baseline(HMMBaseline(), tmp_path / "x.npz")
+            get_backend("hmm").save_bytes(HMMBaseline())
 
-    def test_metadata_flags_attribute_leak(self, models, tmp_path):
+    def test_metadata_flags_attribute_leak(self, models):
         """Baseline parameter files embed raw training attributes; the
         archive must say so (the privacy caveat of §5.0.1)."""
-        import json
-        path = tmp_path / "baseline.npz"
-        save_baseline(models[0], path)
-        with np.load(path) as archive:
-            meta = json.loads(bytes(archive["__meta__"].tobytes()).decode())
+        blob = get_backend("hmm").save_bytes(models[0])
+        meta = json.loads(bytes_to_arrays(blob)["__meta__"].tobytes())
         assert meta["leaks_training_attributes"] is True
-        assert meta["kind"] == "HMM"
+        assert meta["backend"] == "hmm"
+        # The config is the full constructor kwargs.
+        assert meta["config"] == {"n_states": 4, "n_iter": 3, "seed": 0}

@@ -1,83 +1,4 @@
-"""Tests for the fidelity report (model card)."""
-
-import numpy as np
-import pytest
-
-from repro.experiments.report import (FidelityReport, fidelity_report,
-                                      render_markdown)
-
-
-class TestFidelityReport:
-    def test_perfect_copy_scores_well(self, tiny_gcut):
-        half = len(tiny_gcut) // 2
-        train, holdout = tiny_gcut[np.arange(half)], \
-            tiny_gcut[np.arange(half, len(tiny_gcut))]
-        report = fidelity_report(train, train, holdout=holdout)
-        assert all(v < 1e-12 for v in report.acf_mse.values()
-                   if np.isfinite(v))
-        assert report.length_w1 == 0.0
-        assert all(v == 0.0 for v in report.attribute_jsd.values())
-        # Copying IS memorization: the check must fire.
-        assert report.memorization_suspected
-
-    def test_independent_real_data_not_flagged(self, tiny_gcut):
-        from repro.data.simulators import generate_gcut
-        other = generate_gcut(len(tiny_gcut), np.random.default_rng(55),
-                              max_length=tiny_gcut.schema.max_length)
-        half = len(tiny_gcut) // 2
-        train = tiny_gcut[np.arange(half)]
-        holdout = tiny_gcut[np.arange(half, len(tiny_gcut))]
-        report = fidelity_report(train, other, holdout=holdout)
-        assert not report.memorization_suspected
-        assert not report.mode_collapse_suspected
-
-    def test_mode_collapse_detected(self, tiny_wwt):
-        collapsed = tiny_wwt[np.zeros(40, dtype=int)]  # one sample repeated
-        report = fidelity_report(tiny_wwt, collapsed)
-        assert report.mode_collapse_suspected
-
-    def test_schema_mismatch_rejected(self, tiny_wwt, tiny_gcut):
-        with pytest.raises(ValueError, match="schemas differ"):
-            fidelity_report(tiny_wwt, tiny_gcut)
-
-    def test_fixed_length_dataset_skips_length_metric(self, tiny_wwt):
-        report = fidelity_report(tiny_wwt, tiny_wwt)
-        assert report.length_w1 is None
-
-    def test_works_on_generated_data(self, trained_dg_gcut, tiny_gcut):
-        syn = trained_dg_gcut.generate(40, rng=np.random.default_rng(0))
-        report = fidelity_report(tiny_gcut, syn)
-        assert set(report.acf_mse) == {f.name for f in
-                                       tiny_gcut.schema.features}
-        assert "end_event_type" in report.attribute_jsd
-
-
-class TestRenderMarkdown:
-    def test_contains_sections(self, tiny_gcut):
-        half = len(tiny_gcut) // 2
-        report = fidelity_report(tiny_gcut[np.arange(half)],
-                                 tiny_gcut[np.arange(half, len(tiny_gcut))],
-                                 holdout=tiny_gcut[np.arange(half)])
-        text = render_markdown(report, title="GCUT card")
-        assert "# GCUT card" in text
-        assert "Temporal correlations" in text
-        assert "Attribute marginals" in text
-        assert "Memorization" in text
-
-    def test_handles_empty_report(self):
-        text = render_markdown(FidelityReport(n_real=0, n_synthetic=0))
-        assert "Fidelity report" in text
-
-
-class TestCrossCorrelationSection:
-    def test_included_for_multifeature_data(self, tiny_gcut):
-        report = fidelity_report(tiny_gcut, tiny_gcut)
-        assert report.cross_correlation == 0.0
-        assert "Cross-feature correlations" in render_markdown(report)
-
-    def test_absent_for_single_feature(self, tiny_wwt):
-        report = fidelity_report(tiny_wwt, tiny_wwt)
-        assert report.cross_correlation is None
+"""Tests for the sweep report helpers."""
 
 
 class TestFailureSummary:

@@ -71,6 +71,24 @@ def test_dataset_save_load_roundtrip(tiny_gcut, tmp_path):
     assert np.array_equal(loaded.lengths, tiny_gcut.lengths)
 
 
+class TestSuffixlessPaths:
+    @pytest.mark.parametrize("backend", ["doppelganger", "hmm"])
+    def test_simulate_train_generate_write_exactly_the_given_paths(
+            self, workdir, backend):
+        data, model, synth = (workdir / "data", workdir / "m",
+                              workdir / "synth")
+        assert main(["simulate", "--dataset", "gcut", "--n", "20",
+                     "--length", "8", "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--backend", backend, "--iterations", "2",
+                     "--hidden", "12", "--batch-size", "8"]) == 0
+        assert main(["generate", "--model", str(model), "--n", "3",
+                     "--out", str(synth)]) == 0
+        assert sorted(p.name for p in workdir.iterdir()) == \
+            ["data", "m", "synth"]
+        assert len(TimeSeriesDataset.load(synth)) == 3
+
+
 class TestErrorHandling:
     """Missing/corrupt inputs: exit 2 with a one-line actionable error."""
 

@@ -1,60 +1,59 @@
-"""Tests for module save/load."""
+"""Module parameters through npz bytes, atomic writes, training state.
+
+Model archives (:mod:`repro.backends.archive`) store module parameters with
+``Module.state_dict`` and restore them with ``Module.load_state_dict``,
+encoded by :func:`arrays_to_bytes` / :func:`bytes_to_arrays`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Tensor, load_module, save_module
+from repro.nn import MLP, Tensor
+from repro.nn.serialization import arrays_to_bytes, bytes_to_arrays
 
 
-def test_save_load_roundtrip(tmp_path):
+def _round_trip(module):
+    return bytes_to_arrays(arrays_to_bytes(module.state_dict()))
+
+
+def test_save_load_roundtrip():
     a = MLP(3, [5], 2, rng=np.random.default_rng(1))
     b = MLP(3, [5], 2, rng=np.random.default_rng(2))
-    path = tmp_path / "weights.npz"
-    save_module(a, path)
-    load_module(b, path)
+    b.load_state_dict(_round_trip(a))
     x = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
-    assert np.allclose(a(x).data, b(x).data)
+    assert np.array_equal(a(x).data, b(x).data)
 
 
-def test_load_into_wrong_architecture_raises(tmp_path):
+def test_load_into_wrong_architecture_raises():
     a = MLP(3, [5], 2, rng=np.random.default_rng(1))
     b = MLP(3, [5, 5], 2, rng=np.random.default_rng(2))
-    path = tmp_path / "weights.npz"
-    save_module(a, path)
     with pytest.raises(KeyError):
-        load_module(b, path)
+        b.load_state_dict(_round_trip(a))
 
 
 class TestLoadModuleHardening:
-    def test_corrupted_archive_raises_clear_value_error(self, tmp_path):
-        path = tmp_path / "weights.npz"
-        path.write_bytes(b"garbage, not a zip archive")
-        module = MLP(3, [5], 2, rng=np.random.default_rng(1))
+    """Bad bytes and mismatched parameters fail with clear errors."""
+
+    def test_corrupted_archive_raises_clear_value_error(self):
         with pytest.raises(ValueError, match="corrupted"):
-            load_module(module, path)
+            bytes_to_arrays(b"garbage, not a zip archive")
 
-    def test_missing_file_raises_value_error(self, tmp_path):
-        module = MLP(3, [5], 2, rng=np.random.default_rng(1))
+    def test_missing_file_raises_value_error(self):
         with pytest.raises(ValueError, match="missing"):
-            load_module(module, tmp_path / "absent.npz")
+            bytes_to_arrays(b"")
 
-    def test_shape_mismatch_names_parameter(self, tmp_path):
+    def test_shape_mismatch_names_parameter(self):
         a = MLP(3, [5], 2, rng=np.random.default_rng(1))
         b = MLP(3, [7], 2, rng=np.random.default_rng(2))
         # Same parameter names, different hidden width.
-        path = tmp_path / "weights.npz"
-        save_module(a, path)
         with pytest.raises(ValueError, match="layers.0.weight"):
-            load_module(b, path)
+            b.load_state_dict(_round_trip(a))
 
-    def test_key_mismatch_lists_names(self, tmp_path):
+    def test_key_mismatch_lists_names(self):
         a = MLP(3, [5], 2, rng=np.random.default_rng(1))
         b = MLP(3, [5, 5], 2, rng=np.random.default_rng(2))
-        path = tmp_path / "weights.npz"
-        save_module(a, path)
         with pytest.raises(KeyError, match="layers.2"):
-            load_module(b, path)
-
+            b.load_state_dict(_round_trip(a))
 
 class TestAtomicWrites:
     def test_save_npz_atomic_round_trip(self, tmp_path):

@@ -129,6 +129,31 @@ class TestLoadErrors:
             registry.load(record)
 
 
+class TestPublishRefusesNonFinite:
+    """The model writer checks every parameter and extra array, so a
+    diverged model never reaches a registry."""
+
+    def test_poisoned_weight_is_refused_before_any_write(
+            self, registry, trained_dg_gcut):
+        backend = get_backend("doppelganger")
+        model = backend.load_bytes(backend.save_bytes(trained_dg_gcut))
+        name, param = next(iter(model.discriminator.named_parameters()))
+        param.data[0, 0] = np.nan
+        with pytest.raises(ValueError,
+                           match=rf"'discriminator' parameter '{name}'"):
+            registry.publish("poisoned", model)
+        for directory in ("blobs", "models"):
+            assert os.listdir(os.path.join(registry.root, directory)) == []
+
+    def test_poisoned_extra_array_is_named(self, hmm_model):
+        backend = get_backend("hmm")
+        model = backend.load_bytes(backend.save_bytes(hmm_model))
+        model.hmm.means = model.hmm.means.copy()
+        model.hmm.means[0, 0] = np.inf
+        with pytest.raises(ValueError, match="'hmm' parameter 'means'"):
+            backend.save_bytes(model)
+
+
 class TestOpaqueBatching:
     """Backends without block-generation hooks still serve
     deterministically through the MicroBatcher."""
