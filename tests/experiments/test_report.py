@@ -1,4 +1,23 @@
-"""Tests for the sweep report helpers."""
+"""Tests for the sweep report helpers and the cross-feature section of
+the quality report they are published with."""
+
+from repro.quality import QualityReport
+
+
+class TestCrossCorrelationSection:
+    def test_included_for_multifeature_data(self, tiny_gcut):
+        report = QualityReport(tiny_gcut, tiny_gcut, downstream=False)
+        assert report.property_scores()["cross_correlation"] == 1.0
+        prop = next(p for p in report.properties
+                    if p.name == "cross_correlation")
+        assert prop.details["error"] == 0.0
+        assert "## cross_correlation" in report.render_markdown()
+
+    def test_absent_for_single_feature(self, tiny_wwt):
+        report = QualityReport(tiny_wwt, tiny_wwt, downstream=False)
+        assert "cross_correlation" not in report.property_scores()
+        assert report.skipped == []
+        assert "cross_correlation" not in report.render_markdown()
 
 
 class TestFailureSummary:

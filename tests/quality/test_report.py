@@ -93,14 +93,6 @@ class TestPropertyCoverage:
         report = QualityReport(tiny_wwt, collapsed, downstream=False)
         assert report.property_scores()["diversity"] < 0.3
 
-    def test_cross_correlation_scored_only_for_multifeature_data(
-            self, tiny_gcut, tiny_wwt):
-        multi = QualityReport(tiny_gcut, tiny_gcut, downstream=False)
-        single = QualityReport(tiny_wwt, tiny_wwt, downstream=False)
-        assert multi.property_scores()["cross_correlation"] == 1.0
-        assert "cross_correlation" not in single.property_scores()
-        assert single.skipped == []
-
     def test_fixed_length_data_scores_perfect_lengths(self, tiny_wwt):
         report = QualityReport(tiny_wwt, tiny_wwt[np.arange(30)],
                                downstream=False)
