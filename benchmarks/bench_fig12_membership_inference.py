@@ -14,6 +14,7 @@ import pytest
 from repro.core import DoppelGANger
 from repro.experiments import get_dataset, make_dg_config, print_series
 from repro.experiments.configs import BENCH
+from repro.metrics import normalise_rows
 from repro.privacy import membership_inference_attack
 
 # Fixed training compute across sizes: with the same number of gradient
@@ -51,9 +52,9 @@ def test_fig12_membership_inference(once):
             # Attack in the normalised per-series space so scale
             # differences don't trivialise the distance computation.
             result = membership_inference_attack(
-                _normalise(_flatten(members)),
-                _normalise(_flatten(non_members)),
-                _normalise(_flatten(released)))
+                normalise_rows(_flatten(members)),
+                normalise_rows(_flatten(non_members)),
+                normalise_rows(_flatten(released)))
             rates.append(result.success_rate)
         return rates
 
@@ -68,8 +69,3 @@ def test_fig12_membership_inference(once):
     # Sanity: rates live in [0.4, 1.0].
     assert all(0.35 <= r <= 1.0 for r in rates)
 
-
-def _normalise(rows: np.ndarray) -> np.ndarray:
-    mean = rows.mean(axis=1, keepdims=True)
-    std = rows.std(axis=1, keepdims=True) + 1e-9
-    return (rows - mean) / std

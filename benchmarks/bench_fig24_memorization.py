@@ -14,17 +14,12 @@ import pytest
 
 from repro.data.splits import make_split
 from repro.experiments import get_dataset, get_model, get_split, print_table
-from repro.metrics import memorization_ratio, nearest_neighbors
+from repro.metrics import (memorization_ratio, nearest_neighbors,
+                           normalise_rows)
 
 FEATURES = {"wwt": "daily_views", "mba": "traffic_bytes",
             "gcut": "canonical_memory_usage"}
 N_GENERATE = 150
-
-
-def _normalise(rows: np.ndarray) -> np.ndarray:
-    mean = rows.mean(axis=1, keepdims=True)
-    std = rows.std(axis=1, keepdims=True) + 1e-9
-    return (rows - mean) / std
 
 
 @pytest.mark.benchmark(group="fig24")
@@ -36,9 +31,9 @@ def test_fig24_memorization(once):
             model = get_model(dataset_name, "dg",
                               train_data=split.train_real)
             syn = model.generate(N_GENERATE, rng=np.random.default_rng(9))
-            gen = _normalise(syn.feature_column(feature))
-            train = _normalise(split.train_real.feature_column(feature))
-            holdout = _normalise(split.test_real.feature_column(feature))
+            gen = normalise_rows(syn.feature_column(feature))
+            train = normalise_rows(split.train_real.feature_column(feature))
+            holdout = normalise_rows(split.test_real.feature_column(feature))
             ratio = memorization_ratio(gen, train, holdout)
             nn = nearest_neighbors(gen, train, k=1)
             rows.append([dataset_name, feature, ratio,

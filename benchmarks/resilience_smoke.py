@@ -4,13 +4,17 @@ of an uninterrupted run bit for bit.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/resilience_smoke.py
+    PYTHONPATH=src python benchmarks/resilience_smoke.py [--backend NAME]
 
-Exits non-zero (with a diff summary) on any mismatch.
+``--backend`` picks any GAN backend (default: doppelganger); every one of
+them trains through the same checkpointing loop.  Exits non-zero (with a
+diff summary) on any mismatch, or when the victim finished before the
+kill landed.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import subprocess
@@ -45,15 +49,19 @@ def _cli(args, cwd) -> None:
         raise SystemExit(f"cli {args} failed:\n{proc.stderr}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--backend", default="doppelganger")
+    backend = parser.parse_args(argv).backend
+    train_args = TRAIN_ARGS + ["--backend", backend]
     with tempfile.TemporaryDirectory() as workdir:
         print("[smoke] simulating dataset ...")
         _cli(["simulate", "--dataset", "gcut", "--n", "40", "--length",
               "16", "--out", "data.npz"], workdir)
 
-        print("[smoke] reference run (uninterrupted) ...")
+        print(f"[smoke] reference {backend} run (uninterrupted) ...")
         _cli(["train", "--data", "data.npz", "--out", "model_a.npz",
-              "--checkpoint", "ckpt_a.npz"] + TRAIN_ARGS, workdir)
+              "--checkpoint", "ckpt_a.npz"] + train_args, workdir)
         reference = load_training_state(
             os.path.join(workdir, "ckpt_a.npz"))
 
@@ -61,7 +69,7 @@ def main() -> int:
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "train", "--data",
              "data.npz", "--out", "model_b.npz", "--checkpoint",
-             "ckpt_b.npz"] + TRAIN_ARGS,
+             "ckpt_b.npz"] + train_args,
             cwd=workdir, env=_env(), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         ckpt_b = os.path.join(workdir, "ckpt_b.npz")
@@ -75,11 +83,15 @@ def main() -> int:
             victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
         killed_at = load_training_state(ckpt_b).iteration
+        if killed_at >= reference.iteration:
+            print("[smoke] FAIL: the victim finished before the kill "
+                  "landed, so nothing was resumed")
+            return 1
         print(f"[smoke] victim killed at iteration {killed_at}")
 
         print("[smoke] resuming victim ...")
         _cli(["train", "--data", "data.npz", "--out", "model_b.npz",
-              "--checkpoint", "ckpt_b.npz", "--resume"] + TRAIN_ARGS,
+              "--checkpoint", "ckpt_b.npz", "--resume"] + train_args,
              workdir)
         resumed = load_training_state(ckpt_b)
 

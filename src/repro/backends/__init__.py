@@ -20,16 +20,16 @@ before the format existed load through its frozen legacy translator.
 from __future__ import annotations
 
 from repro.backends.archive import read_meta, read_model
-from repro.backends.base import (DEFAULT_BACKEND, GeneratorBackend,
-                                 UnknownBackend, backend_for_model,
-                                 backend_names, get_backend,
-                                 register_backend)
+from repro.backends.base import (DEFAULT_BACKEND, FitOptions,
+                                 GeneratorBackend, UnknownBackend,
+                                 backend_for_model, backend_names,
+                                 get_backend, register_backend)
 from repro.backends.baselines import BASELINE_BACKENDS, BaselineBackend
 from repro.backends.dlgan import DLGAN, DLGANBackend, DLGANConfig
 from repro.backends.doppelganger import DoppelGANgerBackend
 
 __all__ = [
-    "GeneratorBackend", "UnknownBackend", "DEFAULT_BACKEND",
+    "GeneratorBackend", "UnknownBackend", "DEFAULT_BACKEND", "FitOptions",
     "register_backend", "get_backend", "backend_names",
     "backend_for_model",
     "DoppelGANgerBackend", "DLGANBackend", "BaselineBackend",

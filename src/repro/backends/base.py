@@ -7,7 +7,8 @@ process-parallel sweep, the serving registry, and the CLI -- only needs
 five capabilities from a generator:
 
 - build a model from a (schema, config) pair,
-- fit it on a :class:`~repro.data.dataset.TimeSeriesDataset`,
+- fit it on a :class:`~repro.data.dataset.TimeSeriesDataset` (GAN
+  backends honour one :class:`FitOptions` object of resilience switches),
 - sample ``n`` synthetic objects deterministically from an rng,
 - serialize the fitted model to bytes, and restore it from bytes.
 
@@ -41,12 +42,13 @@ import abc
 
 import numpy as np
 
+from repro.core.adversarial import FitOptions
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.schema import DataSchema
 
 __all__ = ["GeneratorBackend", "UnknownBackend", "register_backend",
            "get_backend", "backend_names", "backend_for_model",
-           "DEFAULT_BACKEND"]
+           "DEFAULT_BACKEND", "FitOptions"]
 
 #: Tag assumed for archives published before backend tags existed.
 DEFAULT_BACKEND = "doppelganger"
@@ -74,6 +76,11 @@ class GeneratorBackend(abc.ABC):
     #: The model type this backend builds, saves and restores.
     model_class: type = object
 
+    #: Whether models train through the adversarial loop
+    #: (:mod:`repro.core.adversarial`) and so honour every
+    #: :class:`FitOptions` field: checkpoints, resume, the sentinel.
+    adversarial: bool = False
+
     # -- construction ------------------------------------------------------
     @abc.abstractmethod
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
@@ -89,9 +96,36 @@ class GeneratorBackend(abc.ABC):
     def from_config(self, schema: DataSchema, config: dict):
         """Instantiate an untrained model from a ``make_config`` dict."""
 
+    def train_config(self, schema: DataSchema, *, iterations: int,
+                     batch_size: int, hidden: int, seed: int,
+                     **overrides) -> dict:
+        """Config of a command-line or job training run: the bench-scale
+        config with the run's iteration count, batch size, layer width
+        and seed applied where the architecture has a matching knob
+        (``overrides`` that do not apply are ignored)."""
+        from repro.experiments.configs import BENCH
+
+        width = (hidden, hidden)
+        return self.make_config(
+            "custom", BENCH, seed=seed, iterations=iterations,
+            batch_size=batch_size, hidden=width, generator_hidden=width,
+            discriminator_hidden=width, **overrides)
+
     # -- training and sampling ---------------------------------------------
-    def fit(self, model, dataset: TimeSeriesDataset):
-        """Train ``model`` on ``dataset`` (default: ``model.fit``)."""
+    def fit(self, model, dataset: TimeSeriesDataset,
+            options: FitOptions | None = None):
+        """Train ``model`` on ``dataset``.
+
+        Adversarial backends pass ``options`` to ``model.fit``; the others
+        reject any non-default value.
+        """
+        if self.adversarial:
+            return model.fit(dataset, options=options)
+        if options is not None and options != FitOptions():
+            raise ValueError(
+                f"the {self.name} backend does not train adversarially, so "
+                f"it supports no checkpoint, resume, sentinel or history "
+                f"options")
         return model.fit(dataset)
 
     def generate(self, model, n: int,

@@ -30,6 +30,7 @@ class BaselineBackend(GeneratorBackend):
             raise ValueError(f"unknown baseline {name!r}")
         self.name = name
         self.model_class = _CLASSES[name]
+        self.adversarial = name == "naive_gan"
 
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
                     **overrides) -> dict:

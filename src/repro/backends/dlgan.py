@@ -38,11 +38,12 @@ import numpy as np
 
 from repro.backends.base import GeneratorBackend, get_backend
 from repro.baselines.base import make_baseline_encoder
+from repro.core.adversarial import FitOptions, MLPGANLoop, TrainingHistory
 from repro.core.generator import BlockActivation, OutputBlock
-from repro.core.losses import critic_loss, generator_loss
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.schema import DataSchema
-from repro.nn import MLP, Adam, Tensor, grad, no_grad, ops
+from repro.nn import MLP, Tensor, no_grad
+from repro.resilience import checkpoint as ckpt
 
 __all__ = ["DLGANConfig", "DLGAN", "DLGANBackend"]
 
@@ -100,6 +101,7 @@ class DLGAN:
         self._built = False
         self.loss_history: dict[str, list[float]] = {"pattern": [],
                                                      "refine": []}
+        self.history = None
 
     # -- layout ------------------------------------------------------------
     def _attribute_blocks(self) -> list[OutputBlock]:
@@ -222,9 +224,19 @@ class DLGAN:
         return np.concatenate(channels, axis=2)
 
     # -- training ----------------------------------------------------------
-    def fit(self, dataset: TimeSeriesDataset) -> "DLGAN":
+    def fit(self, dataset: TimeSeriesDataset,
+            options: FitOptions | None = None) -> "DLGAN":
+        """Train both layers through the adversarial loop.
+
+        The layers run as two stages of one iteration count: the pattern
+        stage is iterations ``[0, N)``, the refinement stage ``[N, 2N)``,
+        with one history, one rng and one checkpoint file, so
+        ``options.resume_from`` resumes inside whichever stage the
+        checkpoint was written in.
+        """
         if dataset.schema != self.schema:
             raise ValueError("dataset schema does not match model schema")
+        options = options or FitOptions()
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         self.encoder.fit(dataset)
@@ -235,61 +247,49 @@ class DLGAN:
         real_joint = np.concatenate([encoded.attributes, pattern_real],
                                     axis=1)
         n = len(encoded)
-        batch = min(cfg.batch_size, n)
-
-        # Layer 1: discrete pattern WGAN-GP.
-        g_params = self.pattern_generator.parameters()
-        d_params = self.pattern_discriminator.parameters()
-        g_opt = Adam(g_params, lr=cfg.learning_rate)
-        d_opt = Adam(d_params, lr=cfg.learning_rate)
-        self.loss_history["pattern"] = []
-        for _ in range(cfg.iterations):
-            idx = rng.integers(0, n, size=batch)
-            real = Tensor(real_joint[idx])
-            with no_grad():
-                z = Tensor(rng.normal(size=(batch, cfg.noise_dim)))
-                fake_const = self._pattern_activation(
-                    self.pattern_generator(z)).detach()
-            d_loss = critic_loss(self.pattern_discriminator, real,
-                                 fake_const, cfg.gradient_penalty_weight,
-                                 rng)
-            d_opt.step(grad(d_loss, d_params, allow_unused=True))
-            z = Tensor(rng.normal(size=(batch, cfg.noise_dim)))
-            fake = self._pattern_activation(self.pattern_generator(z))
-            g_loss = generator_loss(self.pattern_discriminator, fake)
-            g_opt.step(grad(g_loss, g_params, allow_unused=True))
-            self.loss_history["pattern"].append(g_loss.item())
-
-        # Layer 2: continuous refinement WGAN-GP, conditioned on the real
-        # (attribute, pattern) pairs so the critic judges the joint.
+        common = dict(batch_size=min(cfg.batch_size, n),
+                      learning_rate=cfg.learning_rate,
+                      gradient_penalty_weight=cfg.gradient_penalty_weight,
+                      seed=cfg.seed)
+        # Layer 1: discrete pattern WGAN-GP.  Layer 2: continuous
+        # refinement WGAN-GP, conditioned on the real (attribute, pattern)
+        # pairs so the critic judges the joint.
+        stages = [(self.pattern_generator, self._pattern_activation,
+                   self.pattern_discriminator, cfg.noise_dim, 0, real_joint)]
         if self._n_continuous:
-            r_params = self.refiner.parameters()
-            rd_params = self.refine_discriminator.parameters()
-            r_opt = Adam(r_params, lr=cfg.learning_rate)
-            rd_opt = Adam(rd_params, lr=cfg.learning_rate)
-            self.loss_history["refine"] = []
-            for _ in range(cfg.iterations):
-                idx = rng.integers(0, n, size=batch)
-                cond_np = real_joint[idx]
-                real = Tensor(np.concatenate([cond_np, offsets_real[idx]],
-                                             axis=1))
-                with no_grad():
-                    z = rng.normal(size=(batch, cfg.refine_noise_dim))
-                    offs = self._refine_activation(self.refiner(
-                        Tensor(np.concatenate([cond_np, z], axis=1))))
-                    fake_const = Tensor(np.concatenate(
-                        [cond_np, offs.data], axis=1))
-                d_loss = critic_loss(self.refine_discriminator, real,
-                                     fake_const,
-                                     cfg.gradient_penalty_weight, rng)
-                rd_opt.step(grad(d_loss, rd_params, allow_unused=True))
-                z = rng.normal(size=(batch, cfg.refine_noise_dim))
-                offs = self._refine_activation(self.refiner(
-                    Tensor(np.concatenate([cond_np, z], axis=1))))
-                fake = ops.concat([Tensor(cond_np), offs], axis=1)
-                g_loss = generator_loss(self.refine_discriminator, fake)
-                r_opt.step(grad(g_loss, r_params, allow_unused=True))
-                self.loss_history["refine"].append(g_loss.item())
+            stages.append((self.refiner, self._refine_activation,
+                           self.refine_discriminator, cfg.refine_noise_dim,
+                           real_joint.shape[1],
+                           np.concatenate([real_joint, offsets_real],
+                                          axis=1)))
+        resumed_at = (ckpt.checkpoint_iteration(options.resume_from)
+                      if options.resume_from is not None else 0)
+        # Set before training so a failure report can read how far it got.
+        self.history = history = TrainingHistory.windowed(
+            options.history_window)
+        n_iter = cfg.iterations
+        for index, (generator, activation, critic, noise_dim, cond_dim,
+                    rows) in enumerate(stages):
+            start, stop = index * n_iter, (index + 1) * n_iter
+            if resumed_at > stop:
+                continue  # finished before the checkpoint was written
+            loop = MLPGANLoop(self._named_modules(), generator, activation,
+                              critic, rng, noise_dim=noise_dim,
+                              cond_dim=cond_dim, **common)
+            stage_options = options
+            if not start < resumed_at <= stop:
+                stage_options = dataclasses.replace(options,
+                                                    resume_from=None)
+            loop.train(rows, stop, log_every=1, options=stage_options,
+                       history=history, start=start)
+            # A sentinel reseed replaces the loop's rng; the next stage
+            # continues from the stream this one ended on.
+            rng = loop.rng
+        self.loss_history = {
+            "pattern": [g for it, g in zip(history.iterations,
+                                           history.g_loss) if it < n_iter],
+            "refine": [g for it, g in zip(history.iterations,
+                                          history.g_loss) if it >= n_iter]}
         return self
 
     # -- generation --------------------------------------------------------
@@ -367,6 +367,7 @@ class DLGANBackend(GeneratorBackend):
 
     name = "dlgan"
     model_class = DLGAN
+    adversarial = True
 
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
                     **overrides) -> dict:

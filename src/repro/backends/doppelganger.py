@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import GeneratorBackend
+from repro.backends.base import FitOptions, GeneratorBackend
 from repro.core.config import DGConfig
 from repro.core.doppelganger import (DoppelGANger, config_from_dict,
                                      config_to_dict)
@@ -27,6 +27,7 @@ class DoppelGANgerBackend(GeneratorBackend):
     name = "doppelganger"
     aliases = ("dg",)
     model_class = DoppelGANger
+    adversarial = True
 
     def make_config(self, dataset_name: str, scale, seed: int | None = None,
                     **overrides) -> dict:
@@ -36,6 +37,30 @@ class DoppelGANgerBackend(GeneratorBackend):
             overrides = {**overrides, "seed": seed}
         return config_to_dict(make_dg_config(dataset_name, scale,
                                              **overrides))
+
+    def train_config(self, schema: DataSchema, *, iterations: int,
+                     batch_size: int, hidden: int, seed: int,
+                     sample_len: int | None = None, **overrides) -> dict:
+        """Every layer ``hidden`` wide (the LSTM 3/4 of that), and ``S``
+        chosen for ~25 RNN passes unless ``sample_len`` is given."""
+        sample_len = sample_len or DGConfig.recommended_sample_len(
+            schema.max_length, target_passes=25)
+        width = (hidden, hidden)
+        return config_to_dict(DGConfig(
+            sample_len=sample_len, attribute_hidden=width,
+            minmax_hidden=width, feature_rnn_units=max(hidden * 3 // 4, 8),
+            feature_mlp_hidden=(hidden,), discriminator_hidden=width,
+            aux_discriminator_hidden=width, batch_size=batch_size,
+            iterations=iterations, seed=seed, **overrides))
+
+    def fit(self, model: DoppelGANger, dataset,
+            options: FitOptions | None = None):
+        options = options or FitOptions()
+        return model.fit(dataset, train_state_path=options.checkpoint_path,
+                         checkpoint_every=options.checkpoint_every,
+                         resume_from=options.resume_from,
+                         sentinel=options.sentinel,
+                         history_window=options.history_window)
 
     def from_config(self, schema: DataSchema, config) -> DoppelGANger:
         if not isinstance(config, DGConfig):

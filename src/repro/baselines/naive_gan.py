@@ -13,10 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import GenerativeModel, make_baseline_encoder
+from repro.core.adversarial import FitOptions, MLPGANLoop, TrainingHistory
 from repro.core.generator import BlockActivation, OutputBlock
-from repro.core.losses import critic_loss, generator_loss
 from repro.data.dataset import TimeSeriesDataset
-from repro.nn import MLP, Adam, Tensor, grad, no_grad
+from repro.nn import MLP, Tensor, no_grad
 
 __all__ = ["NaiveGANBaseline"]
 
@@ -46,6 +46,7 @@ class NaiveGANBaseline(GenerativeModel):
         self.discriminator: MLP | None = None
         self.activation: BlockActivation | None = None
         self.loss_history: list[float] = []
+        self.history = None
 
     def _build_blocks(self) -> list[OutputBlock]:
         blocks = [OutputBlock(f.dimension, "softmax" if f.is_categorical
@@ -83,7 +84,10 @@ class NaiveGANBaseline(GenerativeModel):
     def _restore(self, arrays: dict) -> None:
         self._build(np.random.default_rng(self.seed))
 
-    def fit(self, dataset: TimeSeriesDataset) -> "NaiveGANBaseline":
+    def fit(self, dataset: TimeSeriesDataset,
+            options: FitOptions | None = None) -> "NaiveGANBaseline":
+        """Train on ``dataset`` through the adversarial loop; ``options``
+        carries its checkpoint/resume/sentinel switches."""
         rng = np.random.default_rng(self.seed)
         self.schema = dataset.schema
         self.encoder = make_baseline_encoder(dataset.schema).fit(dataset)
@@ -92,34 +96,22 @@ class NaiveGANBaseline(GenerativeModel):
         flat_real = np.concatenate(
             [encoded.attributes,
              encoded.features.reshape(n, -1)], axis=1)
-        out_dim = flat_real.shape[1]
 
         self._build(rng)
-        if self.activation.dimension != out_dim:
+        if self.activation.dimension != flat_real.shape[1]:
             raise RuntimeError("output block layout does not match data")
-        g_params = self.generator.parameters()
-        d_params = self.discriminator.parameters()
-        g_opt = Adam(g_params, lr=self.learning_rate)
-        d_opt = Adam(d_params, lr=self.learning_rate)
-
-        self.loss_history = []
-        batch = min(self.batch_size, n)
-        for _ in range(self.iterations):
-            # Critic step.
-            idx = rng.integers(0, n, size=batch)
-            real = Tensor(flat_real[idx])
-            with no_grad():
-                z = Tensor(rng.normal(size=(batch, self.noise_dim)))
-                fake_const = self.activation(self.generator(z)).detach()
-            d_loss = critic_loss(self.discriminator, real, fake_const,
-                                 self.gradient_penalty_weight, rng)
-            d_opt.step(grad(d_loss, d_params, allow_unused=True))
-            # Generator step.
-            z = Tensor(rng.normal(size=(batch, self.noise_dim)))
-            fake = self.activation(self.generator(z))
-            g_loss = generator_loss(self.discriminator, fake)
-            g_opt.step(grad(g_loss, g_params, allow_unused=True))
-            self.loss_history.append(g_loss.item())
+        loop = MLPGANLoop(
+            self._modules(), self.generator, self.activation,
+            self.discriminator, rng, noise_dim=self.noise_dim,
+            batch_size=min(self.batch_size, n),
+            learning_rate=self.learning_rate,
+            gradient_penalty_weight=self.gradient_penalty_weight,
+            seed=self.seed)
+        self.history = TrainingHistory.windowed(
+            options.history_window if options else None)
+        loop.train(flat_real, self.iterations, log_every=1, options=options,
+                   history=self.history)
+        self.loss_history = list(self.history.g_loss)
         return self
 
     def generate(self, n: int,

@@ -51,8 +51,6 @@ import zipfile
 
 import numpy as np
 
-from repro.core.config import DGConfig
-from repro.core.doppelganger import DoppelGANger
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.simulators import (generate_flashcrowd, generate_gcut,
                                    generate_mba, generate_regime,
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--seed", type=int, default=None)
     jobs.add_argument("--checkpoint-every", type=int, default=None,
                       help="iterations between resumable checkpoint "
-                           "writes (doppelganger jobs)")
+                           "writes (GAN backends)")
     jobs.add_argument("--sentinel", action="store_true",
                       help="enable the divergence sentinel for the job")
     jobs.add_argument("--max-attempts", type=int, default=None,
@@ -393,101 +391,60 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _train_other_backend(args, data) -> int:
-    """Train a non-DoppelGANger backend from bench-scale defaults.
-
-    The rich training flags (checkpointing, sentinel, sample-len) are
-    DoppelGANger-specific; other backends train from their bench-scale
-    config with ``--iterations/--batch-size/--hidden/--seed`` applied
-    where the architecture has a matching knob.
-    """
-    from repro.backends import get_backend
-    from repro.experiments.configs import BENCH
-
-    for flag, name in [(args.checkpoint, "--checkpoint"),
-                       (args.resume, "--resume"),
-                       (args.sentinel, "--sentinel"),
-                       (args.sample_len, "--sample-len"),
-                       (args.telemetry, "--telemetry")]:
-        if flag:
-            raise _CliError(f"{name} is only supported by the "
-                            f"doppelganger backend")
-    backend = get_backend(args.backend)
-    width = args.hidden
-    config = backend.make_config(
-        "custom", BENCH, seed=args.seed, iterations=args.iterations,
-        batch_size=args.batch_size, hidden=(width, width),
-        generator_hidden=(width, width),
-        discriminator_hidden=(width, width))
-    model = backend.from_config(data.schema, config)
-    backend.fit(model, data)
-    write_atomic(args.out, backend.save_bytes(model))
-    print(f"model parameters written to {args.out} "
-          f"(backend {backend.name})")
-    return 0
-
-
 def _cmd_train(args) -> int:
+    from repro.backends import FitOptions, get_backend
+
     data = _load_dataset(args.data)
     _ensure_parent(args.out)
     _ensure_parent(args.checkpoint)
-    if args.backend not in ("doppelganger", "dg"):
-        return _train_other_backend(args, data)
-    sample_len = args.sample_len or DGConfig.recommended_sample_len(
-        data.schema.max_length, target_passes=25)
-    width = args.hidden
-    config = DGConfig(
-        sample_len=sample_len,
-        attribute_hidden=(width, width), minmax_hidden=(width, width),
-        feature_rnn_units=max(width * 3 // 4, 8),
-        feature_mlp_hidden=(width,),
-        discriminator_hidden=(width, width),
-        aux_discriminator_hidden=(width, width),
-        batch_size=args.batch_size, iterations=args.iterations,
-        seed=args.seed,
+    if args.resume and not args.checkpoint:
+        print("--resume requires --checkpoint", file=sys.stderr)
+        return 2
+    backend = get_backend(args.backend)
+    config = backend.train_config(
+        data.schema, iterations=args.iterations, batch_size=args.batch_size,
+        hidden=args.hidden, seed=args.seed, sample_len=args.sample_len,
         use_minmax_generator=not args.no_minmax,
-        use_auxiliary_discriminator=not args.no_aux,
-    )
-    model = DoppelGANger(data.schema, config)
+        use_auxiliary_discriminator=not args.no_aux)
+    model = backend.from_config(data.schema, config)
     resume_from = None
-    if args.resume:
-        if not args.checkpoint:
-            print("--resume requires --checkpoint", file=sys.stderr)
-            return 2
-        if os.path.exists(args.checkpoint):
-            resume_from = args.checkpoint
-            print(f"resuming from {args.checkpoint}")
+    if args.resume and os.path.exists(args.checkpoint):
+        resume_from = args.checkpoint
+        print(f"resuming from {args.checkpoint}")
     sentinel = None
     if args.sentinel:
         from repro.resilience import SentinelPolicy
         sentinel = SentinelPolicy(max_retries=args.max_retries)
-
-    def fit():
-        return model.fit(
-            data, log_every=max(args.iterations // 10, 1),
-            callback=lambda it, h: print(
-                f"iteration {it}: d_loss={h.d_loss[-1]:.3f} "
-                f"g_loss={h.g_loss[-1]:.3f}"),
-            train_state_path=args.checkpoint,
+    try:
+        options = FitOptions(
+            checkpoint_path=args.checkpoint,
             checkpoint_every=(args.checkpoint_every if args.checkpoint
                               else None),
             resume_from=resume_from, sentinel=sentinel)
-
-    if args.telemetry:
-        from repro.observability import TelemetryRun
-        with TelemetryRun(args.telemetry, run_id="train") as run:
-            history = fit()
-        paths = run.finalize()
-        print(f"telemetry written to {paths['events']}")
-    else:
-        history = fit()
-    model.save(args.out)
-    print(f"model parameters written to {args.out} (S={sample_len})")
-    if history.rollbacks or history.nan_events or history.runaway_events:
-        print(f"sentinel events: nan={history.nan_events} "
-              f"runaway={history.runaway_events} "
-              f"rollbacks={history.rollbacks} "
-              f"lr_decays={history.lr_decays}")
+        if args.telemetry:
+            from repro.observability import TelemetryRun
+            with TelemetryRun(args.telemetry, run_id="train") as run:
+                backend.fit(model, data, options)
+            paths = run.finalize()
+            print(f"telemetry written to {paths['events']}")
+        else:
+            backend.fit(model, data, options)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    write_atomic(args.out, backend.save_bytes(model))
+    print(f"model parameters written to {args.out} "
+          f"(backend {backend.name})")
+    history = getattr(model, "history", None)
+    if history is not None and history.iterations:
+        print(f"iteration {history.iterations[-1]}: "
+              f"d_loss={history.d_loss[-1]:.3f} "
+              f"g_loss={history.g_loss[-1]:.3f}")
+        if history.rollbacks or history.nan_events \
+                or history.runaway_events:
+            print(f"sentinel events: nan={history.nan_events} "
+                  f"runaway={history.runaway_events} "
+                  f"rollbacks={history.rollbacks} "
+                  f"lr_decays={history.lr_decays}")
     return 0
 
 

@@ -1,5 +1,7 @@
-"""DoppelGANger core: generators, discriminators, losses, trainer, API."""
+"""DoppelGANger core: generators, discriminators, losses, the adversarial
+training loop and its configurations, API."""
 
+from repro.core.adversarial import AdversarialLoop, FitOptions, MLPGANLoop
 from repro.core.config import DGConfig, DPTrainingConfig
 from repro.core.discriminator import AuxiliaryDiscriminator, Discriminator
 from repro.core.doppelganger import DoppelGANger
@@ -15,5 +17,6 @@ __all__ = [
     "OutputBlock", "BlockActivation",
     "Discriminator", "AuxiliaryDiscriminator",
     "critic_loss", "generator_loss", "gradient_penalty",
-    "DGTrainer", "TrainingHistory",
+    "AdversarialLoop", "FitOptions", "MLPGANLoop", "DGTrainer",
+    "TrainingHistory",
 ]

@@ -19,11 +19,13 @@ from repro.core.discriminator import AuxiliaryDiscriminator, Discriminator
 from repro.core.generator import (AttributeGenerator, FeatureGenerator,
                                   MinMaxGenerator, OutputBlock,
                                   continuous_kind)
-from repro.core.trainer import DGTrainer, TrainingHistory
+from repro.core.adversarial import FitOptions
+from repro.core.trainer import (AttributeRetrainer, DGTrainer,
+                                TrainingHistory)
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.encoding import DataEncoder
 from repro.data.schema import DataSchema
-from repro.nn import Tensor, grad, no_grad
+from repro.nn import Tensor, no_grad
 
 __all__ = ["DoppelGANger", "config_to_dict", "config_from_dict"]
 
@@ -128,18 +130,17 @@ class DoppelGANger:
                 selecting the best snapshot by a fidelity metric -- e.g.
                 autocorrelation MSE against the training data -- is often
                 better than taking the final iterate.
-            train_state_path: Destination for resumable full training
-                state (parameters + optimizer moments + RNG + history),
-                written atomically every ``checkpoint_every`` iterations.
-                Unlike ``checkpoint_path``, resuming from this file
+            train_state_path, checkpoint_every, resume_from, sentinel,
+            history_window: The adversarial loop's resilience switches
+                (:class:`~repro.core.adversarial.FitOptions`, where
+                ``train_state_path`` is its ``checkpoint_path``).  Unlike
+                ``checkpoint_path``, resuming from ``train_state_path``
                 continues training bit-identically (docs/robustness.md).
-            checkpoint_every: Cadence for ``train_state_path`` writes.
-            resume_from: A ``train_state_path`` file to resume from.
-            sentinel: Divergence sentinel switch/policy (see
-                :meth:`repro.core.trainer.DGTrainer.train`).
-            history_window: Bound on retained loss-trace points (see
-                :class:`~repro.core.trainer.TrainingHistory.max_points`).
         """
+        options = FitOptions(
+            checkpoint_path=train_state_path,
+            checkpoint_every=checkpoint_every, resume_from=resume_from,
+            sentinel=sentinel)
         if dataset.schema != self.schema:
             raise ValueError("dataset schema does not match model schema")
         self.encoder.fit(dataset)
@@ -165,12 +166,12 @@ class DoppelGANger:
 
         use_wrapper = (callback is not None or keep_best_by is not None
                        or checkpoint_path is not None)
-        self.history = self.trainer.train(
+        # Set before training so a failure report can read how far it got.
+        self.history = TrainingHistory.windowed(history_window)
+        self.trainer.train(
             encoded, iterations=iterations, log_every=log_every,
-            callback=wrapped if use_wrapper else None,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=train_state_path, resume_from=resume_from,
-            sentinel=sentinel, history_window=history_window)
+            callback=wrapped if use_wrapper else None, options=options,
+            history=self.history)
         if best["state"] is not None:
             for name, module in self._generator_modules().items():
                 module.load_state_dict(best["state"][name])
@@ -329,61 +330,14 @@ class DoppelGANger:
             The generator loss trace.
         """
         self._require_trained()
-        rng = rng or self._rng
         encoded_target = self.encoder.encode_attributes(target_attributes)
-        cfg = self.config
-        from repro.nn import Adam  # local import to avoid cycle at top
-        attr_params = self.attribute_generator.parameters()
-        disc_params = self.discriminator.parameters()
-        if self.aux_discriminator is not None:
-            disc_params = disc_params + self.aux_discriminator.parameters()
-        g_opt = Adam(attr_params, lr=cfg.learning_rate, betas=cfg.adam_betas)
-        d_opt = Adam(disc_params, lr=cfg.learning_rate, betas=cfg.adam_betas)
-
-        from repro.core.losses import critic_loss, generator_loss
-
-        batch = min(cfg.batch_size, len(encoded_target))
-        mm_dim = self.encoder.minmax_dim
-        feat_dim = self.encoder.feature_dim
-        tmax = self.schema.max_length
-        zeros_mm = Tensor(np.zeros((batch, mm_dim)))
-        zeros_feat = Tensor(np.zeros((batch, tmax, feat_dim)))
-        losses = []
-        for _ in range(iterations):
-            idx = rng.integers(0, len(encoded_target), size=batch)
-            real_attr = Tensor(encoded_target[idx])
-            with no_grad():
-                z = self.attribute_generator.sample_noise(batch, rng)
-                fake_attr_const = Tensor(self.attribute_generator(z).data)
-            # Critic update on (attr, zero minmax, zero features).
-            real_flat = self.discriminator.flatten(real_attr, zeros_mm,
-                                                   zeros_feat)
-            fake_flat = self.discriminator.flatten(fake_attr_const, zeros_mm,
-                                                   zeros_feat)
-            d_loss = critic_loss(self.discriminator, real_flat, fake_flat,
-                                 cfg.gradient_penalty_weight, rng)
-            if self.aux_discriminator is not None:
-                d_loss = d_loss + Tensor(cfg.aux_discriminator_weight) * \
-                    critic_loss(
-                        self.aux_discriminator,
-                        self.aux_discriminator.flatten(real_attr, zeros_mm),
-                        self.aux_discriminator.flatten(fake_attr_const,
-                                                       zeros_mm),
-                        cfg.gradient_penalty_weight, rng)
-            d_opt.step(grad(d_loss, disc_params, allow_unused=True))
-            # Generator update.
-            z = self.attribute_generator.sample_noise(batch, rng)
-            fake_attr = self.attribute_generator(z)
-            flat = self.discriminator.flatten(fake_attr, zeros_mm, zeros_feat)
-            g_loss = generator_loss(self.discriminator, flat)
-            if self.aux_discriminator is not None:
-                g_loss = g_loss + Tensor(cfg.aux_discriminator_weight) * \
-                    generator_loss(
-                        self.aux_discriminator,
-                        self.aux_discriminator.flatten(fake_attr, zeros_mm))
-            g_opt.step(grad(g_loss, attr_params, allow_unused=True))
-            losses.append(g_loss.item())
-        return losses
+        loop = AttributeRetrainer(
+            self.trainer, rng or self._rng,
+            min(self.config.batch_size, len(encoded_target)),
+            self.encoder.minmax_dim,
+            (self.schema.max_length, self.encoder.feature_dim))
+        return loop.train(encoded_target, iterations, log_every=1,
+                          history=TrainingHistory(max_points=None)).g_loss
 
     # -- persistence -----------------------------------------------------------
     def archive_state(self) -> tuple[dict, dict, dict]:
@@ -439,15 +393,7 @@ class DoppelGANger:
         return get_backend("doppelganger").load_bytes(blob)
 
     def _named_modules(self) -> dict:
-        modules = {
-            "attribute_generator": self.attribute_generator,
-            "minmax_generator": self.minmax_generator,
-            "feature_generator": self.feature_generator,
-            "discriminator": self.discriminator,
-        }
-        if self.aux_discriminator is not None:
-            modules["aux_discriminator"] = self.aux_discriminator
-        return modules
+        return self.trainer.modules
 
     def _require_trained(self) -> None:
         if not self._built:

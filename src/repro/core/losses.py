@@ -19,8 +19,9 @@ import numpy as np
 from repro.nn import Module, Tensor, grad
 from repro.nn import functional as F
 
-__all__ = ["critic_loss", "generator_loss", "gradient_penalty",
-           "vanilla_discriminator_loss", "vanilla_generator_loss"]
+__all__ = ["critic_loss", "critic_loss_and_estimate", "generator_loss",
+           "gradient_penalty", "vanilla_discriminator_loss",
+           "vanilla_generator_loss"]
 
 
 def gradient_penalty(critic: Module, real_flat: Tensor, fake_flat: Tensor,
@@ -48,12 +49,23 @@ def critic_loss(critic: Module, real_flat: Tensor, fake_flat: Tensor,
                 gp_weight: float, rng: np.random.Generator,
                 gp_noise: Tensor | None = None) -> Tensor:
     """Full critic objective: Wasserstein estimate + gradient penalty."""
+    return critic_loss_and_estimate(critic, real_flat, fake_flat, gp_weight,
+                                    rng, gp_noise=gp_noise)[0]
+
+
+def critic_loss_and_estimate(critic: Module, real_flat: Tensor,
+                             fake_flat: Tensor, gp_weight: float,
+                             rng: np.random.Generator,
+                             gp_noise: Tensor | None = None
+                             ) -> tuple[Tensor, Tensor]:
+    """:func:`critic_loss` and its Wasserstein term E[D(fake)] - E[D(real)]
+    (the negated estimate of the distance), from one critic pass."""
     wasserstein = critic(fake_flat).mean() - critic(real_flat).mean()
     if gp_weight:
         penalty = gradient_penalty(critic, real_flat, fake_flat, rng,
                                    t=gp_noise)
-        return wasserstein + Tensor(float(gp_weight)) * penalty
-    return wasserstein
+        return wasserstein + Tensor(float(gp_weight)) * penalty, wasserstein
+    return wasserstein, wasserstein
 
 
 def generator_loss(critic: Module, fake_flat: Tensor) -> Tensor:

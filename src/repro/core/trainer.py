@@ -1,108 +1,35 @@
-"""Adversarial training loop for DoppelGANger (§4.3, §4.4).
+"""DoppelGANger's configurations of the adversarial loop (§4.3, §4.4, §5.2).
 
-Alternates critic and generator updates with the combined two-discriminator
-loss of Eq. 2.  Optionally applies DP-SGD (per-microbatch clipping + noise)
-to the discriminator updates, which are the only updates that touch real
-data -- this is the §5.3.1 experiment substrate.
-
-The loop is wired into :mod:`repro.resilience`: ``train`` can write atomic
-full-state checkpoints (``checkpoint_every=``/``checkpoint_path=``), resume
-from one bit-identically (``resume_from=``), and run under a divergence
-sentinel that rolls back to the last good snapshot on NaN/Inf/runaway
-losses (``sentinel=``).
+:class:`DGTrainer` supplies the step functions of the full model: the
+combined two-discriminator loss of Eq. 2, optionally with DP-SGD
+(per-microbatch clipping + noise) on the discriminator updates, which are
+the only updates that touch real data -- the §5.3.1 experiment substrate.
+:class:`AttributeRetrainer` supplies those of §5.2's attribute-only
+retraining.  The loop itself -- optimizers, plan replay, the divergence
+sentinel, checkpoint/resume and telemetry -- is
+:class:`repro.core.adversarial.AdversarialLoop`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.nn import profiler as nn_profiler
-
+from repro.core.adversarial import AdversarialLoop, TrainingHistory
 from repro.core.config import DGConfig
 from repro.core.discriminator import AuxiliaryDiscriminator, Discriminator
 from repro.core.generator import (AttributeGenerator, FeatureGenerator,
                                   MinMaxGenerator)
-from repro.core.losses import (critic_loss, generator_loss,
-                               vanilla_discriminator_loss,
+from repro.core.losses import (critic_loss, critic_loss_and_estimate,
+                               generator_loss, vanilla_discriminator_loss,
                                vanilla_generator_loss)
 from repro.data.encoding import EncodedDataset
-from repro.nn import Adam, DPGradientProcessor, Tensor, grad, no_grad
-from repro.nn.optim import clip_grad_norm, grad_norm
-from repro.observability import events as obs_events
-from repro.observability import metrics as obs_metrics
-from repro.observability.metrics import LOSS_BUCKETS, NORM_BUCKETS
-from repro.observability.telemetry import telemetry_active
-from repro.resilience import checkpoint as ckpt
-from repro.resilience import faults
-from repro.resilience.sentinel import (DivergenceDetected,
-                                       DivergenceSentinel, TrainingDiverged)
+from repro.nn import DPGradientProcessor, Tensor, grad, no_grad
 
-__all__ = ["TrainingHistory", "DGTrainer"]
+__all__ = ["TrainingHistory", "DGTrainer", "AttributeRetrainer"]
 
 
-@dataclass
-class TrainingHistory:
-    """Loss traces and instability counters recorded during training.
-
-    The counters make instability observable instead of silent: a run that
-    finished only because the sentinel rolled back twice reports
-    ``rollbacks == 2`` rather than a clean-looking loss trace.
-
-    The loss traces are *windowed*: only the most recent ``max_points``
-    recorded points are kept (``None`` disables the bound), so a
-    million-iteration run cannot grow memory without limit -- the same
-    bounding discipline the harness LRU caches apply.  Trimming is a pure
-    function of the append sequence, so checkpoint/resume closes over the
-    windowed history exactly.  Full traces belong in the event log.
-    """
-
-    iterations: list[int] = field(default_factory=list)
-    d_loss: list[float] = field(default_factory=list)
-    g_loss: list[float] = field(default_factory=list)
-    wasserstein: list[float] = field(default_factory=list)
-    max_points: int | None = 4096
-    # Per-op {"calls", "seconds"} table, populated by train(profile=True).
-    op_profile: dict | None = None
-
-    # Sentinel / resilience counters (survive rollbacks and resumes).
-    nan_events: int = 0
-    runaway_events: int = 0
-    step_faults: int = 0
-    rollbacks: int = 0
-    lr_decays: int = 0
-    resumes: int = 0
-
-    def __post_init__(self):
-        if self.max_points is not None and self.max_points < 1:
-            raise ValueError("max_points must be >= 1 or None")
-
-    def record(self, iteration: int, d_loss: float, g_loss: float,
-               wasserstein: float) -> None:
-        self.iterations.append(iteration)
-        self.d_loss.append(d_loss)
-        self.g_loss.append(g_loss)
-        self.wasserstein.append(wasserstein)
-        if self.max_points is not None \
-                and len(self.iterations) > self.max_points:
-            drop = len(self.iterations) - self.max_points
-            for trace in (self.iterations, self.d_loss, self.g_loss,
-                          self.wasserstein):
-                del trace[:drop]
-
-    def note_event(self, reason: str) -> None:
-        """Tally one sentinel trigger by reason."""
-        if reason == "nan":
-            self.nan_events += 1
-        elif reason == "runaway":
-            self.runaway_events += 1
-        else:
-            self.step_faults += 1
-
-
-class DGTrainer:
-    """Owns the optimizers and runs the alternating GAN updates."""
+class DGTrainer(AdversarialLoop):
+    """The full DoppelGANger model's step functions and draw order."""
 
     def __init__(self, attribute_generator: AttributeGenerator,
                  minmax_generator: MinMaxGenerator,
@@ -116,31 +43,41 @@ class DGTrainer:
         self.discriminator = discriminator
         self.aux_discriminator = aux_discriminator
         self.config = config
-        self.rng = rng
-
-        self.generator_params = (attribute_generator.parameters()
-                                 + minmax_generator.parameters()
-                                 + feature_generator.parameters())
-        self.discriminator_params = discriminator.parameters()
+        modules = {
+            "attribute_generator": attribute_generator,
+            "minmax_generator": minmax_generator,
+            "feature_generator": feature_generator,
+            "discriminator": discriminator,
+        }
+        discriminator_params = discriminator.parameters()
         if aux_discriminator is not None:
-            self.discriminator_params += aux_discriminator.parameters()
-
-        self.g_optimizer = Adam(self.generator_params,
-                                lr=config.learning_rate,
-                                betas=config.adam_betas)
-        self.d_optimizer = Adam(self.discriminator_params,
-                                lr=config.learning_rate,
-                                betas=config.adam_betas)
-        # Last applied global gradient norms, captured only while telemetry
-        # is active (pure reads -- recording them cannot perturb training).
-        self._last_d_grad_norm: float | None = None
-        self._last_g_grad_norm: float | None = None
+            modules["aux_discriminator"] = aux_discriminator
+            discriminator_params += aux_discriminator.parameters()
+        super().__init__(modules,
+                         attribute_generator.parameters()
+                         + minmax_generator.parameters()
+                         + feature_generator.parameters(),
+                         discriminator_params, rng,
+                         learning_rate=config.learning_rate,
+                         betas=config.adam_betas)
         self._dp_processor = None
         if config.dp is not None:
             self._dp_processor = DPGradientProcessor(
                 l2_norm_clip=config.dp.l2_norm_clip,
                 noise_multiplier=config.dp.noise_multiplier,
                 rng=rng)
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def batch_size(self) -> int:
+        return self.config.batch_size
+
+    @property
+    def discriminator_steps(self) -> int:
+        return self.config.discriminator_steps
 
     # -- sampling ------------------------------------------------------------
     def generate_batch(self, batch: int,
@@ -169,12 +106,6 @@ class DGTrainer:
             z_f = self.feature_generator.sample_noise(batch, self.rng)
         features = self.feature_generator(attributes, minmax, z_f)
         return attributes, minmax, features
-
-    def _real_batch(self, data: EncodedDataset, batch: int
-                    ) -> tuple[Tensor, Tensor, Tensor]:
-        idx = self.rng.integers(0, len(data), size=batch)
-        return (Tensor(data.attributes[idx]), Tensor(data.minmax[idx]),
-                Tensor(data.features[idx]))
 
     # -- loss assembly ---------------------------------------------------------
     def _one_critic_loss(self, critic, real_flat, fake_flat,
@@ -228,34 +159,9 @@ class DGTrainer:
 
     # -- plan-compiled step functions ------------------------------------------
     #
-    # The hot per-iteration work (generator forward, critic losses, double
-    # backprop, gradients) is expressed as pure array functions and routed
-    # through repro.nn.plan.PlanFunction: the first step with a given batch
-    # shape traces eagerly, later steps replay the recorded schedule with
-    # no graph rebuild or per-op allocation.  All rng draws happen *before*
-    # the planned call, in the exact order the eager code consumed them, so
-    # the noise stream (and therefore every loss) is unchanged.  Optimizer
-    # updates stay eager: Adam's bias correction changes every iteration,
-    # so it is not a fixed schedule.
-
-    def _plan(self, attr: str, fn, **kwargs):
-        plan = self.__dict__.get(attr)
-        if plan is None:
-            from repro.nn.plan import PlanFunction
-            plan = PlanFunction(
-                fn, params=self.generator_params + self.discriminator_params,
-                name=attr.strip("_"), **kwargs)
-            self.__dict__[attr] = plan
-        return plan
-
-    def __getstate__(self):
-        # Plans hold closures, locks, and preallocated arenas -- not
-        # picklable and cheap to re-trace.  Dropping them keeps trainer
-        # snapshots (SweepCache, sharded generation) working.
-        state = self.__dict__.copy()
-        for key in ("_d_plan", "_g_plan", "_w_plan"):
-            state.pop(key, None)
-        return state
+    # All rng draws happen *before* the planned call, in the exact order
+    # the eager code consumed them, so the noise stream (and therefore
+    # every loss) is unchanged.
 
     def _draw_step_noise(self, batch: int) -> tuple:
         """(z_a, z_m, z_f) arrays, drawn in the historical rng order."""
@@ -322,11 +228,8 @@ class DGTrainer:
         outs = self._plan("_d_plan", self._d_step_fn)(
             real_arrays + noise + gp_noise)
         loss_arr, fake_arrays, grads = outs[0], tuple(outs[1:4]), outs[4:]
-        if self.config.gradient_clip_norm is not None:
-            clip_grad_norm(grads, self.config.gradient_clip_norm)
-        if telemetry_active():
-            self._last_d_grad_norm = grad_norm(grads)
-        self.d_optimizer.step(grads)
+        self._last_d_grad_norm = self._apply(
+            self.d_optimizer, grads, self.config.gradient_clip_norm)
         # Post-update Wasserstein estimate, as before; the plan re-reads
         # parameters live, so it sees the optimizer step above.
         rm, fm = self._plan("_w_plan", self._w_fn)(real_arrays + fake_arrays)
@@ -350,9 +253,7 @@ class DGTrainer:
             per_microbatch.append(arrays)
             losses.append(loss.item())
         noised = self._dp_processor.aggregate(per_microbatch)
-        if telemetry_active():
-            self._last_d_grad_norm = grad_norm(noised)
-        self.d_optimizer.step(noised)
+        self._last_d_grad_norm = self._apply(self.d_optimizer, noised)
         with no_grad():
             w = self._wasserstein_estimate(real, fake)
         return float(np.mean(losses)), w
@@ -362,11 +263,8 @@ class DGTrainer:
         noise = self._draw_step_noise(self.config.batch_size)
         outs = self._plan("_g_plan", self._g_step_fn)(noise)
         loss_arr, grads = outs[0], outs[1:]
-        if self.config.gradient_clip_norm is not None:
-            clip_grad_norm(grads, self.config.gradient_clip_norm)
-        if telemetry_active():
-            self._last_g_grad_norm = grad_norm(grads)
-        self.g_optimizer.step(grads)
+        self._last_g_grad_norm = self._apply(
+            self.g_optimizer, grads, self.config.gradient_clip_norm)
         return loss_arr.item()
 
     def _wasserstein_estimate(self, real, fake) -> float:
@@ -376,216 +274,103 @@ class DGTrainer:
                      - self.discriminator(fake_flat).mean().item())
 
     # -- full loop ---------------------------------------------------------------
-    def train(self, data: EncodedDataset, iterations: int | None = None,
-              log_every: int = 50,
-              callback=None, profile: bool = False,
-              checkpoint_every: int | None = None,
-              checkpoint_path=None, resume_from=None,
-              sentinel=None,
-              history_window: int | None = None) -> TrainingHistory:
-        """Run the alternating loop for ``iterations`` generator updates.
-
-        With ``profile=True`` the op-level profiler runs for the whole
-        loop and its per-op stats are stored on ``history.op_profile``.
-
-        Args:
-            checkpoint_every: Write a full-state checkpoint to
-                ``checkpoint_path`` every this many completed iterations
-                (and once more at the end of training).
-            checkpoint_path: Destination for checkpoints (atomic writes).
-            resume_from: Path of a checkpoint to resume from; restores
-                parameters, Adam moments, RNG state, iteration counter,
-                and loss history, so the continued run is bit-identical
-                to an uninterrupted one.
-            sentinel: ``True``, a :class:`SentinelPolicy`, or a
-                :class:`DivergenceSentinel`; enables per-step NaN/Inf and
-                runaway-loss detection with rollback + bounded retry.
-            history_window: Override the history's ``max_points`` bound
-                (``None`` keeps the :class:`TrainingHistory` default).
-
-        When an observability event log is installed
-        (:func:`repro.observability.capture`), the loop emits
-        ``train.start``, per-iteration ``train.iteration`` (losses, grad
-        norms, learning rates), ``sentinel.rollback``, ``checkpoint.save``
-        and ``train.finish`` events, and updates the metrics registry.
-        Telemetry is *inert*: it reads scalars the loop already computes,
-        so trained parameters are bit-identical with telemetry on or off.
-        """
-        iterations = iterations or self.config.iterations
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if self.config.discriminator_steps < 1:
-            raise ValueError("discriminator_steps must be >= 1, got "
-                             f"{self.config.discriminator_steps}")
+    def check_data(self, data: EncodedDataset) -> None:
         if self.config.batch_size > len(data):
             raise ValueError(
                 f"batch_size={self.config.batch_size} exceeds the dataset "
                 f"size ({len(data)} objects); lower batch_size or provide "
                 f"more training data")
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1, got "
-                                 f"{checkpoint_every}")
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_every requires "
-                                 "checkpoint_path")
-        sentinel = DivergenceSentinel.coerce(sentinel)
 
-        history = TrainingHistory() if history_window is None \
-            else TrainingHistory(max_points=history_window)
-        # Exposed immediately (not only on return) so harness code can
-        # inspect partial progress after a failure.
-        self.history = history
-        start_iteration = 0
-        if resume_from is not None:
-            start_iteration = ckpt.load_checkpoint(self, resume_from,
-                                                   history)
-            history.resumes += 1
-        obs_events.emit("train.start", {
-            "iterations": int(iterations),
-            "start_iteration": int(start_iteration),
-            "batch_size": int(self.config.batch_size),
-            "discriminator_steps": int(self.config.discriminator_steps),
-            "seed": int(self.config.seed),
-            "sentinel": sentinel is not None,
-        })
-        if profile:
-            with nn_profiler.profile() as prof:
-                self._train_loop(data, iterations, log_every, callback,
-                                 history, start_iteration,
-                                 checkpoint_every, checkpoint_path,
-                                 sentinel)
-            history.op_profile = prof.stats()
-            if obs_events.enabled():
-                prof.publish(obs_events.emit)
-        else:
-            self._train_loop(data, iterations, log_every, callback,
-                             history, start_iteration, checkpoint_every,
-                             checkpoint_path, sentinel)
-        obs_events.emit("train.finish", {
-            "iterations": int(iterations),
-            "rollbacks": history.rollbacks,
-            "nan_events": history.nan_events,
-            "runaway_events": history.runaway_events,
-            "step_faults": history.step_faults,
-            "lr_decays": history.lr_decays,
-        })
-        return history
+    def train(self, data: EncodedDataset, iterations: int | None = None,
+              **kwargs) -> TrainingHistory:
+        """:meth:`AdversarialLoop.train` for ``iterations`` generator
+        updates (default: the configured count)."""
+        return super().train(data, iterations or self.config.iterations,
+                             **kwargs)
 
-    def _train_loop(self, data: EncodedDataset, iterations: int,
-                    log_every: int, callback, history: TrainingHistory,
-                    start_iteration: int = 0,
-                    checkpoint_every: int | None = None,
-                    checkpoint_path=None,
-                    sentinel: DivergenceSentinel | None = None) -> None:
-        retries = 0
-        last_good = None
-        if sentinel is not None:
-            last_good = ckpt.snapshot_trainer(self, start_iteration,
-                                              history)
-        it = start_iteration
-        while it < iterations:
-            try:
-                faults.fire("trainer.step", step=it)
-                d_loss = w = 0.0
-                for _ in range(self.config.discriminator_steps):
-                    d_loss, w = self.discriminator_step(data)
-                d_loss = faults.fire("trainer.critic_loss", step=it,
-                                     value=d_loss)
-                g_loss = self.generator_step()
-                g_loss = faults.fire("trainer.generator_loss", step=it,
-                                     value=g_loss)
-                if sentinel is not None:
-                    sentinel.check(it, d_loss, g_loss, w)
-            except (DivergenceDetected, faults.FaultInjected,
-                    FloatingPointError) as exc:
-                if sentinel is None:
-                    raise
-                reason = getattr(exc, "reason", "step_error")
-                history.note_event(reason)
-                if retries >= sentinel.policy.max_retries:
-                    raise TrainingDiverged(
-                        f"training diverged at iteration {it} and the "
-                        f"retry budget ({sentinel.policy.max_retries}) is "
-                        f"exhausted: {exc}", iteration=it,
-                        rollbacks=history.rollbacks) from exc
-                failed_at = it
-                it = ckpt.restore_trainer(self, last_good, history)
-                retries += 1
-                history.rollbacks += 1
-                factor = 1.0
-                if sentinel.policy.lr_decay < 1.0:
-                    # Restore reset the lr to the snapshot's value, so
-                    # compound the decay over the retries taken since.
-                    factor = sentinel.policy.lr_decay ** retries
-                    self.g_optimizer.lr *= factor
-                    self.d_optimizer.lr *= factor
-                    history.lr_decays += 1
-                if sentinel.policy.reseed:
-                    # Deterministically derived fresh noise path so the
-                    # retry does not replay the exact failing batch.
-                    self.rng = np.random.default_rng(
-                        (self.config.seed, 0x5EED, history.rollbacks))
-                # Machine-readable rollback record: previously this was
-                # only visible as a counter bump on TrainingHistory.
-                obs_events.emit("sentinel.rollback", {
-                    "iteration": failed_at,
-                    "restored_iteration": it,
-                    "trigger": reason,
-                    "retries": retries,
-                    "lr_decay": factor,
-                    "g_lr": float(self.g_optimizer.lr),
-                    "d_lr": float(self.d_optimizer.lr),
-                    "reseeded": bool(sentinel.policy.reseed),
-                })
-                obs_metrics.counter("train.rollbacks").inc()
-                continue
-            if telemetry_active():
-                obs_events.emit("train.iteration", {
-                    "iteration": it,
-                    "d_loss": float(d_loss),
-                    "g_loss": float(g_loss),
-                    "wasserstein": float(w),
-                    "d_grad_norm": self._last_d_grad_norm,
-                    "g_grad_norm": self._last_g_grad_norm,
-                    "g_lr": float(self.g_optimizer.lr),
-                    "d_lr": float(self.d_optimizer.lr),
-                })
-                obs_metrics.counter("train.iterations").inc()
-                obs_metrics.histogram("train.d_loss",
-                                      LOSS_BUCKETS).observe(d_loss)
-                obs_metrics.histogram("train.g_loss",
-                                      LOSS_BUCKETS).observe(g_loss)
-                if self._last_d_grad_norm is not None:
-                    obs_metrics.histogram(
-                        "train.d_grad_norm",
-                        NORM_BUCKETS).observe(self._last_d_grad_norm)
-                if self._last_g_grad_norm is not None:
-                    obs_metrics.histogram(
-                        "train.g_grad_norm",
-                        NORM_BUCKETS).observe(self._last_g_grad_norm)
-                obs_metrics.gauge("train.g_lr").set(self.g_optimizer.lr)
-                obs_metrics.gauge("train.d_lr").set(self.d_optimizer.lr)
-            if it % log_every == 0 or it == iterations - 1:
-                history.record(it, d_loss, g_loss, w)
-                if callback is not None:
-                    callback(it, history)
-            it += 1
-            checkpoint_due = checkpoint_every is not None and (
-                it % checkpoint_every == 0 or it == iterations)
-            snapshot_due = sentinel is not None and (
-                it % sentinel.policy.snapshot_every == 0
-                or checkpoint_due)
-            if not (checkpoint_due or snapshot_due):
-                continue
-            if sentinel is not None and not ckpt.trainer_params_finite(
-                    self):
-                # Weights are already poisoned even though the losses
-                # still looked finite; keep the older snapshot so the
-                # next sentinel trigger rolls back past the damage.
-                continue
-            if checkpoint_due:
-                ckpt.save_checkpoint(self, checkpoint_path, it, history)
-            if snapshot_due:
-                last_good = ckpt.snapshot_trainer(self, it, history)
-                retries = 0
+
+class AttributeRetrainer(AdversarialLoop):
+    """§5.2's attribute-only retraining as a configuration of the loop.
+
+    Generated attribute vectors are fed to DoppelGANger's critics with the
+    min/max and time-series inputs zeroed, against rows of a target
+    attribute distribution (``train(data=encoded_rows, ...)``).  Only the
+    attribute generator and the critics update, so P(features |
+    attributes) is preserved.  Always WGAN-GP, with no DP and no
+    clipping.  Draw order per iteration: batch indices, attribute noise,
+    gradient-penalty coefficients (main critic, then aux), generator
+    noise.  The critic reports the main critic's pre-update estimate.
+    """
+
+    def __init__(self, trainer: DGTrainer, rng: np.random.Generator,
+                 batch_size: int, minmax_dim: int,
+                 feature_shape: tuple[int, int]):
+        modules = {"attribute_generator": trainer.attribute_generator,
+                   "discriminator": trainer.discriminator}
+        if trainer.aux_discriminator is not None:
+            modules["aux_discriminator"] = trainer.aux_discriminator
+        super().__init__(modules, trainer.attribute_generator.parameters(),
+                         trainer.discriminator_params, rng,
+                         learning_rate=trainer.config.learning_rate,
+                         betas=trainer.config.adam_betas)
+        self.trainer = trainer
+        self.seed = trainer.config.seed
+        self.batch_size = batch_size
+        self._zeros = (np.zeros((batch_size, minmax_dim)),
+                       np.zeros((batch_size,) + tuple(feature_shape)))
+
+    def _padded(self, attributes: Tensor) -> tuple:
+        return (attributes,) + tuple(Tensor(z) for z in self._zeros)
+
+    def _d_fn(self, real_attr, z_a, *gp_noise):
+        t = self.trainer
+        gp_weight = t.config.gradient_penalty_weight
+        gp = [Tensor(n) for n in gp_noise] or [None, None]
+        with no_grad():
+            fake = self._padded(t.attribute_generator(Tensor(z_a)).detach())
+        real = self._padded(Tensor(real_attr))
+        loss, estimate = critic_loss_and_estimate(
+            t.discriminator, t.discriminator.flatten(*real),
+            t.discriminator.flatten(*fake), gp_weight, self.rng,
+            gp_noise=gp[0])
+        if t.aux_discriminator is not None:
+            aux = t.aux_discriminator
+            loss = loss + Tensor(t.config.aux_discriminator_weight) * \
+                critic_loss(aux, aux.flatten(*real[:2]),
+                            aux.flatten(*fake[:2]), gp_weight, self.rng,
+                            gp_noise=gp[1])
+        grads = grad(loss, self.discriminator_params, allow_unused=True)
+        return (loss, estimate) + tuple(grads)
+
+    def _g_fn(self, z_a):
+        t = self.trainer
+        fake = self._padded(t.attribute_generator(Tensor(z_a)))
+        loss = generator_loss(t.discriminator, t.discriminator.flatten(*fake))
+        if t.aux_discriminator is not None:
+            aux = t.aux_discriminator
+            loss = loss + Tensor(t.config.aux_discriminator_weight) * \
+                generator_loss(aux, aux.flatten(*fake[:2]))
+        grads = grad(loss, self.generator_params, allow_unused=True)
+        return (loss,) + tuple(grads)
+
+    def discriminator_step(self, target: np.ndarray) -> tuple[float, float]:
+        batch = self.batch_size
+        idx = self.rng.integers(0, len(target), size=batch)
+        z_a = self.trainer.attribute_generator.sample_noise(
+            batch, self.rng).data
+        gp = ()
+        if self.trainer.config.gradient_penalty_weight:
+            critics = 1 + (self.trainer.aux_discriminator is not None)
+            gp = tuple(self.rng.uniform(size=(batch, 1))
+                       for _ in range(critics))
+        loss, estimate, *grads = self._plan("_d_plan", self._d_fn)(
+            (target[idx], z_a) + gp)
+        self._last_d_grad_norm = self._apply(self.d_optimizer, grads)
+        return loss.item(), -estimate.item()
+
+    def generator_step(self) -> float:
+        z_a = self.trainer.attribute_generator.sample_noise(
+            self.batch_size, self.rng).data
+        loss, *grads = self._plan("_g_plan", self._g_fn)((z_a,))
+        self._last_g_grad_norm = self._apply(self.g_optimizer, grads)
+        return loss.item()

@@ -14,7 +14,8 @@ from repro.metrics.distributions import (attribute_histogram, diversity_score,
                                          empirical_cdf, length_histogram,
                                          mode_coverage, per_object_total)
 from repro.metrics.memorization import (NearestNeighborResult,
-                                        memorization_ratio, nearest_neighbors)
+                                        memorization_ratio, nearest_neighbors,
+                                        normalise_rows)
 from repro.metrics.ranking import rankdata, spearman_rank_correlation
 
 __all__ = [
@@ -27,5 +28,6 @@ __all__ = [
     "length_histogram", "attribute_histogram", "per_object_total",
     "empirical_cdf", "diversity_score", "mode_coverage",
     "NearestNeighborResult", "nearest_neighbors", "memorization_ratio",
+    "normalise_rows",
     "rankdata", "spearman_rank_correlation",
 ]

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["NearestNeighborResult", "nearest_neighbors",
-           "memorization_ratio"]
+           "memorization_ratio", "normalise_rows"]
+
+
+def normalise_rows(rows: np.ndarray) -> np.ndarray:
+    """Z-score each row (one series) on its own, so neighbour distances
+    compare shapes rather than scales."""
+    mean = rows.mean(axis=1, keepdims=True)
+    std = rows.std(axis=1, keepdims=True) + 1e-9
+    return (rows - mean) / std
 
 
 @dataclass

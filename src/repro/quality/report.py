@@ -49,7 +49,8 @@ from repro.metrics import (autocorrelation_mse, average_autocorrelation,
                            categorical_jsd, conditional_w1,
                            cross_correlation_error, diversity_score,
                            memorization_ratio, mode_coverage,
-                           per_object_statistic, wasserstein1)
+                           normalise_rows, per_object_statistic,
+                           wasserstein1)
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.resilience.atomic import canonical_json
@@ -83,12 +84,6 @@ def _valid_values(dataset: TimeSeriesDataset, feature: str) -> np.ndarray:
     column = dataset.feature_column(feature)
     mask = padding_mask(dataset.lengths, dataset.schema.max_length)
     return column[mask > 0]
-
-
-def _normalise(rows: np.ndarray) -> np.ndarray:
-    mean = rows.mean(axis=1, keepdims=True)
-    std = rows.std(axis=1, keepdims=True) + 1e-9
-    return (rows - mean) / std
 
 
 def _sanitize(value):
@@ -371,9 +366,9 @@ class QualityReport:
             if spec.is_categorical:
                 continue
             ratio = memorization_ratio(
-                _normalise(synthetic.feature_column(spec.name)),
-                _normalise(real.feature_column(spec.name)),
-                _normalise(holdout.feature_column(spec.name)))
+                normalise_rows(synthetic.feature_column(spec.name)),
+                normalise_rows(real.feature_column(spec.name)),
+                normalise_rows(holdout.feature_column(spec.name)))
             score = clamp01(ratio)
             per_feature[spec.name] = {"ratio": float(ratio),
                                       "score": score}

@@ -1,4 +1,5 @@
-"""Checkpoint/resume and in-memory rollback snapshots for ``DGTrainer``.
+"""Checkpoint/resume and in-memory rollback snapshots for the adversarial
+training loop (:class:`repro.core.adversarial.AdversarialLoop`).
 
 Two flavours of the same capture:
 
@@ -10,9 +11,10 @@ Two flavours of the same capture:
   :func:`restore_trainer`) back the divergence sentinel's rollback: cheap
   enough to refresh every few iterations, no filesystem involved.
 
-Both capture every module parameter, both Adam states (moments + step
-count), the RNG bit-generator state, the iteration counter, and the loss
-history -- the complete closure of the training loop.
+Both capture every module the loop names (``loop.modules``), both Adam
+states (``loop.optimizers``: moments + step count), the RNG bit-generator
+state, the iteration counter, and the loss history -- the complete
+closure of the training loop, whichever GAN it trains.
 """
 
 from __future__ import annotations
@@ -24,73 +26,62 @@ import numpy as np
 from repro.nn.serialization import load_training_state, save_training_state
 from repro.observability import events as obs_events
 
-__all__ = ["trainer_modules", "trainer_optimizers", "snapshot_trainer",
-           "restore_trainer", "save_checkpoint", "load_checkpoint",
-           "trainer_params_finite"]
+__all__ = ["snapshot_trainer", "restore_trainer", "save_checkpoint",
+           "load_checkpoint", "checkpoint_iteration",
+           "trainer_params_finite", "nonfinite_parameter"]
 
 _TRACE_FIELDS = ("iterations", "d_loss", "g_loss", "wasserstein")
 _COUNTER_FIELDS = ("nan_events", "runaway_events", "step_faults",
                    "rollbacks", "lr_decays", "resumes")
 
 
-def trainer_modules(trainer) -> dict:
-    """Named modules owned by a :class:`~repro.core.trainer.DGTrainer`."""
-    modules = {
-        "attribute_generator": trainer.attribute_generator,
-        "minmax_generator": trainer.minmax_generator,
-        "feature_generator": trainer.feature_generator,
-        "discriminator": trainer.discriminator,
-    }
-    if trainer.aux_discriminator is not None:
-        modules["aux_discriminator"] = trainer.aux_discriminator
-    return modules
+def nonfinite_parameter(loop) -> str | None:
+    """``"<module>::<param>"`` of the first parameter holding a NaN or
+    Inf among the loop's modules, or ``None`` when all are finite."""
+    for name, module in loop.modules.items():
+        for pname, p in module.named_parameters():
+            if not np.all(np.isfinite(p.data)):
+                return f"{name}::{pname}"
+    return None
 
 
-def trainer_optimizers(trainer) -> dict:
-    """Named optimizers owned by a trainer."""
-    return {"g": trainer.g_optimizer, "d": trainer.d_optimizer}
-
-
-def trainer_params_finite(trainer) -> bool:
-    """True when every generator/discriminator parameter is finite.
+def trainer_params_finite(loop) -> bool:
+    """True when every parameter of the loop's modules is finite.
 
     Used to refuse to snapshot a silently poisoned state (NaN weights
     whose loss has not blown up *yet*) -- rolling back to such a snapshot
     would loop forever.
     """
-    for p in trainer.generator_params + trainer.discriminator_params:
-        if not np.all(np.isfinite(p.data)):
-            return False
-    return True
+    return nonfinite_parameter(loop) is None
 
 
 # -- in-memory snapshots (sentinel rollback) --------------------------------
 
-def snapshot_trainer(trainer, iteration: int, history) -> dict:
+def snapshot_trainer(loop, iteration: int, history) -> dict:
     """Deep-copy the full training state into a plain dict."""
     return {
         "iteration": int(iteration),
         "modules": {name: module.state_dict()
-                    for name, module in trainer_modules(trainer).items()},
+                    for name, module in loop.modules.items()},
         "optimizers": {name: opt.state_dict()
-                       for name, opt in trainer_optimizers(trainer).items()},
-        "rng_state": copy.deepcopy(trainer.rng.bit_generator.state),
+                       for name, opt in loop.optimizers.items()},
+        "rng_state": copy.deepcopy(loop.rng.bit_generator.state),
         "traces": {f: list(getattr(history, f)) for f in _TRACE_FIELDS},
     }
 
 
-def restore_trainer(trainer, snapshot: dict, history) -> int:
+def restore_trainer(loop, snapshot: dict, history) -> int:
     """Restore a snapshot in place; returns its iteration counter.
 
     History *traces* are truncated back to the snapshot point, but the
     instability counters (rollbacks, nan_events, ...) are left untouched:
     they describe the whole run, including the failures being rolled back.
     """
-    for name, module in trainer_modules(trainer).items():
+    for name, module in loop.modules.items():
         module.load_state_dict(snapshot["modules"][name])
-    for name, opt in trainer_optimizers(trainer).items():
+    for name, opt in loop.optimizers.items():
         opt.load_state_dict(snapshot["optimizers"][name])
-    trainer.rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
+    loop.rng.bit_generator.state = copy.deepcopy(snapshot["rng_state"])
     for field in _TRACE_FIELDS:
         getattr(history, field)[:] = snapshot["traces"][field]
     return snapshot["iteration"]
@@ -98,21 +89,17 @@ def restore_trainer(trainer, snapshot: dict, history) -> int:
 
 # -- disk checkpoints (kill/resume) -----------------------------------------
 
-def save_checkpoint(trainer, path, iteration: int, history) -> None:
-    """Atomically write a resumable checkpoint of ``trainer`` to ``path``."""
-    extra_arrays = {
-        "history_iterations": np.asarray(history.iterations,
-                                         dtype=np.int64),
-        "history_d_loss": np.asarray(history.d_loss, dtype=np.float64),
-        "history_g_loss": np.asarray(history.g_loss, dtype=np.float64),
-        "history_wasserstein": np.asarray(history.wasserstein,
-                                          dtype=np.float64),
-    }
+def save_checkpoint(loop, path, iteration: int, history) -> None:
+    """Atomically write a resumable checkpoint of ``loop`` to ``path``."""
+    extra_arrays = {f"history_{field}": np.asarray(
+        getattr(history, field),
+        dtype=np.int64 if field == "iterations" else np.float64)
+        for field in _TRACE_FIELDS}
     extra_meta = {"counters": {f: int(getattr(history, f))
                                for f in _COUNTER_FIELDS}}
-    save_training_state(path, modules=trainer_modules(trainer),
-                        optimizers=trainer_optimizers(trainer),
-                        rng=trainer.rng, iteration=iteration,
+    save_training_state(path, modules=loop.modules,
+                        optimizers=loop.optimizers,
+                        rng=loop.rng, iteration=iteration,
                         extra_arrays=extra_arrays, extra_meta=extra_meta)
     # The destination path varies run-to-run (tmp dirs), so it rides in
     # the volatile side-channel; the iteration is the deterministic fact.
@@ -120,37 +107,38 @@ def save_checkpoint(trainer, path, iteration: int, history) -> None:
                     volatile={"path": str(path)})
 
 
-def load_checkpoint(trainer, path, history) -> int:
-    """Restore ``trainer`` and ``history`` from ``path``.
+def checkpoint_iteration(path) -> int:
+    """The completed-iteration count a checkpoint at ``path`` holds."""
+    return load_training_state(path).iteration
+
+
+def load_checkpoint(loop, path, history) -> int:
+    """Restore ``loop`` and ``history`` from ``path``.
 
     Returns the iteration to resume from (the number of completed
     iterations at save time).  Raises :class:`ValueError` on corrupted
-    files or on checkpoints whose shapes do not match the trainer.
+    files or on checkpoints whose shapes do not match the loop.
     """
     state = load_training_state(path)
-    modules = trainer_modules(trainer)
+    modules = loop.modules
     missing = sorted(set(modules) - set(state.module_states))
     unexpected = sorted(set(state.module_states) - set(modules))
     if missing or unexpected:
         raise ValueError(
-            f"checkpoint {path!r} does not match this trainer: missing "
+            f"checkpoint {path!r} does not match this loop: missing "
             f"modules {missing}, unexpected modules {unexpected}")
     for name, module in modules.items():
         module.load_state_dict(state.module_states[name])
-    for name, opt in trainer_optimizers(trainer).items():
+    for name, opt in loop.optimizers.items():
         if name not in state.optimizer_states:
             raise ValueError(f"checkpoint {path!r} has no state for "
                              f"optimizer {name!r}")
         opt.load_state_dict(state.optimizer_states[name])
-    trainer.rng.bit_generator.state = state.rng_state
-    history.iterations[:] = [int(v) for v in
-                             state.extra_arrays["history_iterations"]]
-    history.d_loss[:] = [float(v) for v in
-                         state.extra_arrays["history_d_loss"]]
-    history.g_loss[:] = [float(v) for v in
-                         state.extra_arrays["history_g_loss"]]
-    history.wasserstein[:] = [float(v) for v in
-                              state.extra_arrays["history_wasserstein"]]
+    loop.rng.bit_generator.state = state.rng_state
+    for field in _TRACE_FIELDS:
+        cast = int if field == "iterations" else float
+        getattr(history, field)[:] = [
+            cast(v) for v in state.extra_arrays[f"history_{field}"]]
     for field, value in state.extra_meta.get("counters", {}).items():
         if field in _COUNTER_FIELDS:
             setattr(history, field, int(value))

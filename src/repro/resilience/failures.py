@@ -43,7 +43,7 @@ class FailureRecord:
         training history (iteration reached, rollback count) when present."""
         iteration = getattr(exc, "iteration", None)
         retries = getattr(exc, "rollbacks", 0)
-        history = getattr(getattr(model, "trainer", None), "history", None)
+        history = getattr(model, "history", None)
         if history is not None:
             if iteration is None and history.iterations:
                 iteration = history.iterations[-1]

@@ -320,12 +320,16 @@ def job_progress(store: JobStore, record: JobRecord) -> dict:
     attempt = max(record.attempts, 1)
     events = obs_events.read_events(store.events_path(record.job_id,
                                                       attempt))
+    started = False
     for event in events:
         if event.kind == "train.start":
             progress["iterations"] = event.payload.get("iterations")
+            # Only an attempt's first stage can resume; a later stage of
+            # a multi-stage fit (DLGAN) starts where the earlier stopped.
             start = event.payload.get("start_iteration", 0)
-            if start:
+            if start and not started:
                 progress["resumed_from"] = start
+            started = True
         elif event.kind == "train.iteration":
             progress["iteration"] = event.payload.get("iteration")
             progress["d_loss"] = event.payload.get("d_loss")

@@ -11,16 +11,18 @@ Every step is idempotent, so the worker can die *anywhere* and a relaunch
 converges on the same bytes:
 
 - killed mid-training -> the next attempt resumes from ``checkpoint.npz``
-  (bit-identical continuation, PR 2's guarantee);
+  (bit-identical continuation);
 - killed between the model write and the publish -> the next attempt
   skips training and just publishes (content addressing makes a double
   publish of identical bytes a no-op);
 - killed between the publish and the receipt -> the next attempt
   republishes (no-op) and rewrites the receipt.
 
-Backends without resumable checkpoints (everything except DoppelGANger)
-retrain from scratch on each attempt; their training is a pure function
-of (config, seed, data), so the final bytes are identical anyway.
+Every GAN backend (DoppelGANger, DLGAN, the naive GAN) trains through
+the adversarial loop and resumes from its checkpoint.  The others
+(HMM, AR, RNN) retrain from scratch on each attempt; their training is a
+pure function of (config, seed, data), so the final bytes are identical
+anyway.
 
 Fault injection: a job record may carry test-only fault specs
 (:mod:`repro.resilience.faults`) scoped to an attempt number; a ``kill``
@@ -34,10 +36,10 @@ import argparse
 import os
 import sys
 
-from repro.backends import get_backend
+from repro.backends import FitOptions, get_backend
 from repro.data.dataset import TimeSeriesDataset
 from repro.observability import events as obs_events
-from repro.resilience import faults
+from repro.resilience import SentinelPolicy, faults
 from repro.resilience.atomic import canonical_json, write_atomic
 from repro.serve.jobs import JobRecord, JobStore
 from repro.serve.registry import ModelRegistry
@@ -62,56 +64,29 @@ def _arm_faults(record: JobRecord) -> None:
         faults.install(*armed)
 
 
-def _train_doppelganger(record: JobRecord, data: TimeSeriesDataset,
-                        checkpoint: str):
-    """Fit the paper's model with checkpoint/resume and the sentinel."""
-    from repro.core.config import DGConfig
-    from repro.core.doppelganger import DoppelGANger
-
-    train = record.train
-    width = int(train.get("hidden", 32))
-    sample_len = train.get("sample_len") or \
-        DGConfig.recommended_sample_len(data.schema.max_length,
-                                        target_passes=25)
-    config = DGConfig(
-        sample_len=sample_len,
-        attribute_hidden=(width, width), minmax_hidden=(width, width),
-        feature_rnn_units=max(width * 3 // 4, 8),
-        feature_mlp_hidden=(width,),
-        discriminator_hidden=(width, width),
-        aux_discriminator_hidden=(width, width),
-        batch_size=int(train.get("batch_size", 32)),
-        iterations=int(train.get("iterations", 400)),
-        seed=int(train.get("seed", 0)),
-    )
-    model = DoppelGANger(data.schema, config)
-    sentinel = None
-    if train.get("sentinel"):
-        from repro.resilience import SentinelPolicy
-        sentinel = SentinelPolicy(
-            max_retries=int(train.get("max_retries", 3)))
-    resume_from = checkpoint if os.path.exists(checkpoint) else None
-    model.fit(data, train_state_path=checkpoint,
-              checkpoint_every=int(train.get("checkpoint_every", 25)),
-              resume_from=resume_from, sentinel=sentinel)
-    return model
-
-
-def _train_generic(record: JobRecord, data: TimeSeriesDataset):
-    """Fit any other registered backend from bench-scale defaults."""
-    from repro.experiments.configs import BENCH
-
+def _train(record: JobRecord, data: TimeSeriesDataset, checkpoint: str):
+    """Fit the job's model; a GAN resumes from ``checkpoint`` when one
+    exists and runs the sentinel when the job asks for it."""
     backend = get_backend(record.backend)
     train = record.train
-    width = int(train.get("hidden", 32))
-    config = backend.make_config(
-        "custom", BENCH, seed=int(train.get("seed", 0)),
-        iterations=int(train.get("iterations", 400)),
+    config = backend.train_config(
+        data.schema, iterations=int(train.get("iterations", 400)),
         batch_size=int(train.get("batch_size", 32)),
-        hidden=(width, width), generator_hidden=(width, width),
-        discriminator_hidden=(width, width))
+        hidden=int(train.get("hidden", 32)),
+        seed=int(train.get("seed", 0)), sample_len=train.get("sample_len"))
     model = backend.from_config(data.schema, config)
-    backend.fit(model, data)
+    options = FitOptions()
+    if backend.adversarial:
+        sentinel = None
+        if train.get("sentinel"):
+            sentinel = SentinelPolicy(
+                max_retries=int(train.get("max_retries", 3)))
+        options = FitOptions(
+            checkpoint_path=checkpoint,
+            checkpoint_every=int(train.get("checkpoint_every", 25)),
+            resume_from=checkpoint if os.path.exists(checkpoint) else None,
+            sentinel=sentinel)
+    backend.fit(model, data, options)
     return model
 
 
@@ -147,11 +122,7 @@ def run_job(job_dir: str, registry_root: str) -> int:
         events_path = store.events_path(job_id, max(record.attempts, 1))
         with obs_events.capture(obs_events.EventLog(events_path,
                                                     run_id=job_id)):
-            if backend.name == "doppelganger":
-                model = _train_doppelganger(
-                    record, data, store.checkpoint_path(job_id))
-            else:
-                model = _train_generic(record, data)
+            model = _train(record, data, store.checkpoint_path(job_id))
         write_atomic(model_path, backend.save_bytes(model))
 
     # Publish boundary: a kill here leaves the finished model archive on

@@ -17,7 +17,7 @@ import pytest
 
 from repro.data.simulators import generate_gcut
 from repro.resilience.retry import RetryPolicy
-from repro.serve.jobs import JobStore, JobSupervisor
+from repro.serve.jobs import JobStore, JobSupervisor, job_progress
 from repro.serve.registry import ModelRegistry
 
 # The proven seconds-scale config: ~0.5s per uninterrupted run.
@@ -33,6 +33,16 @@ KILL_SITES = [
     {"site": "jobs.pre_publish", "action": "kill", "attempt": 1},
     {"site": "jobs.pre_receipt", "action": "kill", "attempt": 1},
 ]
+
+#: Extra kills per backend.  DLGAN numbers its refinement stage on from
+#: its pattern stage (iterations 10..19 here), so step 6 above kills
+#: inside the pattern stage and step 16 inside the refinement stage.
+EXTRA_KILL_SITES = {
+    "dlgan": [{"site": "trainer.step", "action": "kill", "step": 16,
+               "attempt": 1}],
+}
+
+GAN_BACKENDS = ["doppelganger", "dlgan", "naive_gan"]
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +61,9 @@ def _supervisor(tmp_path, tag):
         poll_interval=0.02)
 
 
-def _run_to_completion(supervisor, data_bytes, *, faults=None,
-                       timeout=120.0):
-    record = supervisor.submit("m", "doppelganger", data_bytes,
+def _run_to_completion(supervisor, data_bytes, *, backend="doppelganger",
+                       faults=None, timeout=120.0):
+    record = supervisor.submit("m", backend, data_bytes,
                                train=TRAIN, faults=faults)
     with supervisor:
         deadline = time.monotonic() + timeout
@@ -66,21 +76,30 @@ def _run_to_completion(supervisor, data_bytes, *, faults=None,
 
 
 @pytest.mark.slow
-def test_killed_jobs_publish_byte_identical_models(tmp_path,
-                                                   data_bytes):
+@pytest.mark.parametrize("backend", GAN_BACKENDS)
+def test_killed_jobs_publish_byte_identical_models(tmp_path, data_bytes,
+                                                   backend):
     control = _run_to_completion(_supervisor(tmp_path, "control"),
-                                 data_bytes)
+                                 data_bytes, backend=backend)
     assert control.state == "completed", control.error
     assert control.attempts == 1
     control_sha = control.result["sha256"]
 
-    for index, fault in enumerate(KILL_SITES):
+    kills = KILL_SITES + EXTRA_KILL_SITES.get(backend, [])
+    for index, fault in enumerate(kills):
         tag = f"kill-{index}"
         survivor = _run_to_completion(_supervisor(tmp_path, tag),
-                                      data_bytes, faults=[fault])
+                                      data_bytes, backend=backend,
+                                      faults=[fault])
         assert survivor.state == "completed", (fault, survivor.error)
         # Exactly one crash, one auto-resume.
         assert survivor.attempts == 2, fault
+        if fault["site"] == "trainer.step":
+            # The second attempt resumed from the last checkpoint before
+            # the kill instead of retraining from scratch.
+            store = JobStore(tmp_path / f"jobs-{tag}")
+            last = fault["step"] - fault["step"] % TRAIN["checkpoint_every"]
+            assert job_progress(store, survivor)["resumed_from"] == last
         # The published bytes match the uninterrupted run exactly --
         # content addressing makes the sha a byte-identity proof.
         assert survivor.result["sha256"] == control_sha, fault
