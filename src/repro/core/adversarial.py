@@ -192,9 +192,6 @@ class AdversarialLoop:
         """One generator update; returns its loss."""
         raise NotImplementedError
 
-    def check_data(self, data) -> None:
-        """Reject training data this configuration cannot train on."""
-
     # -- helpers for step functions ----------------------------------------
     #
     # The hot per-step work (forward, losses, double backprop, gradients)
@@ -272,7 +269,6 @@ class AdversarialLoop:
         if self.discriminator_steps < 1:
             raise ValueError("discriminator_steps must be >= 1, got "
                              f"{self.discriminator_steps}")
-        self.check_data(data)
         sentinel = DivergenceSentinel.coerce(options.sentinel)
         if history is None:
             history = TrainingHistory()

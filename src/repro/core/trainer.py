@@ -274,17 +274,15 @@ class DGTrainer(AdversarialLoop):
                      - self.discriminator(fake_flat).mean().item())
 
     # -- full loop ---------------------------------------------------------------
-    def check_data(self, data: EncodedDataset) -> None:
+    def train(self, data: EncodedDataset, iterations: int | None = None,
+              **kwargs) -> TrainingHistory:
+        """:meth:`AdversarialLoop.train` for ``iterations`` generator
+        updates (default: the configured count)."""
         if self.config.batch_size > len(data):
             raise ValueError(
                 f"batch_size={self.config.batch_size} exceeds the dataset "
                 f"size ({len(data)} objects); lower batch_size or provide "
                 f"more training data")
-
-    def train(self, data: EncodedDataset, iterations: int | None = None,
-              **kwargs) -> TrainingHistory:
-        """:meth:`AdversarialLoop.train` for ``iterations`` generator
-        updates (default: the configured count)."""
         return super().train(data, iterations or self.config.iterations,
                              **kwargs)
 
