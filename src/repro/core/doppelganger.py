@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import weakref
 
 import numpy as np
 
@@ -270,7 +271,13 @@ class DoppelGANger:
         plan = self.__dict__.get(attr)
         if plan is None:
             from repro.nn.plan import PlanFunction
-            plan = PlanFunction(fn, params=self.trainer.generator_params,
+            # Weakly, as AdversarialLoop._plan: a plan holding its model
+            # would make every model that has generated a reference cycle
+            # that keeps its trainer, plans and arenas alive until a full
+            # garbage-collection pass.
+            method = weakref.WeakMethod(fn)
+            plan = PlanFunction(lambda *inputs: method()(*inputs),
+                                params=self.trainer.generator_params,
                                 name=attr.strip("_"), copy_outputs=True)
             self.__dict__[attr] = plan
         return plan

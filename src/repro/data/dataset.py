@@ -63,15 +63,22 @@ class TimeSeriesDataset:
                                         self.schema.max_length).any():
             raise ValueError("lengths must be in [1, max_length]")
         mask = padding_mask(self.lengths, self.schema.max_length)
-        _reject_non_finite(self.attributes, np.isfinite(self.attributes),
-                           self.schema.attributes, "attribute")
+        padding = mask[:, :, None] == 0
+        _reject_cells(self.attributes, np.isfinite(self.attributes),
+                      self.schema.attributes, "attribute", _FINITE)
+        _reject_cells(self.attributes,
+                      _valid_codes(self.attributes, self.schema.attributes),
+                      self.schema.attributes, "attribute", _CODES)
         # Enforce the paper's padding convention: zeros past the end.
         finite = np.isfinite(self.features)
         if not finite.all():
-            _reject_non_finite(self.features, finite | (mask[:, :, None] == 0),
-                               self.schema.features, "feature")
+            _reject_cells(self.features, finite | padding,
+                          self.schema.features, "feature", _FINITE)
             # Only padding is left to clear (NaN * 0 would stay NaN).
             self.features = np.where(finite, self.features, 0.0)
+        _reject_cells(self.features,
+                      _valid_codes(self.features, self.schema.features)
+                      | padding, self.schema.features, "feature", _CODES)
         self.features = self.features * mask[:, :, None]
 
     def __len__(self) -> int:
@@ -143,16 +150,33 @@ class TimeSeriesDataset:
         )
 
 
-def _reject_non_finite(values: np.ndarray, ok: np.ndarray, specs,
-                       kind: str) -> None:
+_FINITE = "values must be finite"
+_CODES = "categorical codes must be integers in [0, {dimension})"
+
+
+def _valid_codes(values: np.ndarray, specs) -> np.ndarray:
+    """True where a cell is continuous or holds an integer category code
+    in ``[0, n_categories)`` (the last axis of ``values`` is the field)."""
+    ok = np.ones(values.shape, dtype=bool)
+    for column, spec in enumerate(specs):
+        if spec.is_categorical:
+            codes = values[..., column]
+            ok[..., column] = ((codes >= 0) & (codes < spec.dimension)
+                               & (codes == np.floor(codes)))
+    return ok
+
+
+def _reject_cells(values: np.ndarray, ok: np.ndarray, specs, kind: str,
+                  rule: str) -> None:
     """Raise naming the first cell of ``values`` that is not ``ok``."""
     if ok.all():
         return
     index = tuple(int(i) for i in np.argwhere(~ok)[0])
     step = f" step {index[1]}" if len(index) == 3 else ""
+    spec = specs[index[-1]]
     raise ValueError(
-        f"object {index[0]}{step} {kind} {specs[index[-1]].name!r} is "
-        f"{values[index]} (values must be finite)")
+        f"object {index[0]}{step} {kind} {spec.name!r} is "
+        f"{values[index]} ({rule.format(dimension=spec.dimension)})")
 
 
 def padding_mask(lengths: np.ndarray, max_length: int) -> np.ndarray:

@@ -100,15 +100,20 @@ def _linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     return out
 
 
-def _lstm_seq_workspace(batch: int, steps: int, in_dim: int, n: int) -> dict:
-    """Preallocated buffers for one fixed-shape LSTM sequence scan."""
+#: The seven per-timestep BPTT caches :func:`_lstm_seq_forward` returns
+#: after ``h_out``, in order.
+_SEQ_CACHES = ("i_all", "f_all", "g_all", "o_all", "c_prev_all",
+               "h_prev_all", "tanh_c_all")
+
+
+def _lstm_seq_workspace(batch: int, steps: int, in_dim: int, n: int,
+                        need_cache: bool = True) -> dict:
+    """Preallocated buffers for one fixed-shape LSTM sequence scan; the
+    BPTT caches only when the scan stores them (``need_cache``)."""
     big = (batch, steps, n)
-    return {
+    ws = {
         "x_proj_flat": np.empty((batch * steps, 4 * n)),
-        "h_out": np.empty(big), "i_all": np.empty(big),
-        "f_all": np.empty(big), "g_all": np.empty(big),
-        "o_all": np.empty(big), "c_prev_all": np.empty(big),
-        "h_prev_all": np.empty(big), "tanh_c_all": np.empty(big),
+        "h_out": np.empty(big),
         "z": np.empty((batch, 4 * n)),
         "c": np.empty((batch, n)), "h": np.empty((batch, n)),
         "tmp": np.empty((batch, n)), "tanh_c": np.empty((batch, n)),
@@ -120,6 +125,9 @@ def _lstm_seq_workspace(batch: int, steps: int, in_dim: int, n: int) -> dict:
         "sig_tmp_o": np.empty((batch, n)),
         "sig_mask_o": np.empty((batch, n), dtype=bool),
     }
+    if need_cache:
+        ws.update((name, np.empty(big)) for name in _SEQ_CACHES)
+    return ws
 
 
 def _lstm_seq_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray,
@@ -134,24 +142,22 @@ def _lstm_seq_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray,
     buffers; the arithmetic is identical either way.
 
     ``need_cache=False`` skips the seven per-timestep cache stores (the
-    gate/state snapshots only BPTT reads); the returned cache arrays are
-    then stale workspace buffers that must not be consumed.  ``h_out`` is
-    computed by the exact same arithmetic either way, so inference-only
-    scans (plan replays whose cache slots are dead) stay bit-identical
-    while dropping ~7 array copies per timestep.
+    gate/state snapshots only BPTT reads) and returns ``None`` for each
+    cache; ``ws`` then need not hold them.  ``h_out`` is computed by the
+    exact same arithmetic either way, so inference-only scans (plan
+    replays whose cache slots are dead) stay bit-identical while dropping
+    ~7 array copies per timestep and the seven (batch, steps, n) arrays.
     """
     batch, steps, in_dim = x.shape
     n = h0.shape[1]
     if ws is None:
-        ws = _lstm_seq_workspace(batch, steps, in_dim, n)
+        ws = _lstm_seq_workspace(batch, steps, in_dim, n, need_cache)
     # One GEMM for every step's input contribution.
     x_proj = np.matmul(x.reshape(batch * steps, in_dim), wih,
                        out=ws["x_proj_flat"]).reshape(batch, steps, 4 * n)
     h_out = ws["h_out"]
-    i_all, f_all = ws["i_all"], ws["f_all"]
-    g_all, o_all = ws["g_all"], ws["o_all"]
-    c_prev_all, h_prev_all = ws["c_prev_all"], ws["h_prev_all"]
-    tanh_c_all = ws["tanh_c_all"]
+    (i_all, f_all, g_all, o_all, c_prev_all, h_prev_all,
+     tanh_c_all) = (ws.get(name) for name in _SEQ_CACHES)
     z, c_buf, h_buf, tmp = ws["z"], ws["c"], ws["h"], ws["tmp"]
     tanh_buf = ws["tanh_c"]
 

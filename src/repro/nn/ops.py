@@ -163,15 +163,23 @@ def power(a, exponent: float) -> Tensor:
     return _result(out, (a,), vjp)
 
 
+# exp, tanh and sigmoid differentiate through their own output.  Their
+# VJPs capture the output *array* and rebuild the output node from it (the
+# same array, parent and VJP) rather than capture the result Tensor: a
+# closure over its own node would make every eager tape a reference cycle
+# that only a full garbage-collection pass frees.  Under ``no_grad`` (a
+# first-order backward) the rebuilt node is a plain constant.
+
+def _exp_vjp(a: Tensor, out: np.ndarray):
+    def vjp(g):
+        return (mul(g, _result(out, (a,), _exp_vjp(a, out))),)
+    return vjp
+
+
 def exp(a) -> Tensor:
     a = astensor(a)
-    result = _result(np.exp(a.data), (a,), None)
-
-    def vjp(g):
-        return (mul(g, result),)
-
-    result._vjp = vjp
-    return result
+    out = np.exp(a.data)
+    return _result(out, (a,), _exp_vjp(a, out))
 
 
 def log(a) -> Tensor:
@@ -187,26 +195,30 @@ def sqrt(a) -> Tensor:
     return power(a, 0.5)
 
 
+def _tanh_vjp(a: Tensor, out: np.ndarray):
+    def vjp(g):
+        result = _result(out, (a,), _tanh_vjp(a, out))
+        return (mul(g, sub(Tensor(1.0), mul(result, result))),)
+    return vjp
+
+
 def tanh(a) -> Tensor:
     a = astensor(a)
-    result = _result(np.tanh(a.data), (a,), None)
+    out = np.tanh(a.data)
+    return _result(out, (a,), _tanh_vjp(a, out))
 
+
+def _sigmoid_vjp(a: Tensor, out: np.ndarray):
     def vjp(g):
-        return (mul(g, sub(Tensor(1.0), mul(result, result))),)
-
-    result._vjp = vjp
-    return result
+        result = _result(out, (a,), _sigmoid_vjp(a, out))
+        return (mul(g, mul(result, sub(Tensor(1.0), result))),)
+    return vjp
 
 
 def sigmoid(a) -> Tensor:
     a = astensor(a)
-    result = _result(_sigmoid_stable(a.data), (a,), None)
-
-    def vjp(g):
-        return (mul(g, mul(result, sub(Tensor(1.0), result))),)
-
-    result._vjp = vjp
-    return result
+    out = _sigmoid_stable(a.data)
+    return _result(out, (a,), _sigmoid_vjp(a, out))
 
 
 def relu(a) -> Tensor:

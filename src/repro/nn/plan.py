@@ -50,12 +50,29 @@ Tracing rules (what the shims record):
   literals.  Model parameters are re-read live (``p.data``) at every
   replay, so optimizer updates and checkpoint restores are honoured.
 
+Building a plan (``_PlanBuilder``):
+
+- **Dead steps.**  One backward liveness pass from the returned slots
+  keeps only the steps something returned depends on.  A traced gradient
+  nobody asked for (the input-gradient matmul of a network whose input is
+  data, the gradient of ``mean``'s constant divisor) is computed once, in
+  the trace, and never replayed.
+- **Buffer planning.**  Each kept step's output buffers come from a pool
+  keyed by ``(shape, dtype)``.  A buffer returns to the pool after the
+  last kept step that reads its slot or any view of that slot, so slots
+  whose live ranges do not overlap share storage; a step's own scratch
+  returns right after it.  Returned slots and the storage they view are
+  never pooled.  The eager intermediates the trace held are released
+  before the arena is allocated.
+
 Arena lifetime: each plan owns its buffers for as long as the
-:class:`PlanFunction` is alive.  Replay outputs may alias arena storage --
-they are only valid until the next replay of the same plan.  Callers that
-retain outputs across calls (e.g. the serving batcher) construct the plan
-with ``copy_outputs=True``; outputs that alias constant or parameter
-storage are always copied so in-place consumers cannot corrupt the plan.
+:class:`PlanFunction` is alive (:meth:`PlanFunction.arena_bytes` reports
+their size).  Replay outputs may alias arena storage -- they are valid
+until the next replay of the same plan, and nothing else in the plan
+writes to them.  Callers that retain outputs across calls (e.g. the
+serving batcher) construct the plan with ``copy_outputs=True``; outputs
+that alias constant or parameter storage are always copied so in-place
+consumers cannot corrupt the plan.
 """
 
 from __future__ import annotations
@@ -344,26 +361,68 @@ def _static_arg(step: _Step, position: int, keyword: str, default=None):
 
 
 class _PlanBuilder:
-    """Turns a completed trace into preallocated buffers + run closures."""
+    """Turns a completed trace into pooled buffers + run closures (see
+    "Building a plan" in the module docstring)."""
 
     def __init__(self, tracer: _Tracer, outputs, copy_outputs: bool):
         self.tracer = tracer
         self.arena: list = [None] * tracer.n_slots
+        self.arena_bytes = 0
         for slot, snapshot in tracer.const_slots.items():
             self.arena[slot] = snapshot
+            self.arena_bytes += snapshot.nbytes
         self.out_refs = self._resolve_outputs(outputs, copy_outputs)
-        # Slot liveness: a produced slot is live iff some later step reads
-        # it or the plan returns it.  Dead slots let replay builders skip
-        # work whose results nothing consumes (e.g. BPTT caches of a
-        # no-grad LSTM forward).
-        self.live_slots = {ref[1] for step in tracer.steps
-                           for ref in step.in_refs if ref[0] == "s"}
-        self.live_slots.update(ref[0] for ref in self.out_refs
-                               if ref is not None)
+        steps = self._live_steps()
+        release = self._release_points(steps)
+        self._pool: dict[tuple, list] = {}
+        self._owned: dict[int, np.ndarray] = {}   # slot -> pooled buffer
+        self._scratch_bufs: list = []
         self.schedule: list[tuple] = []
-        for step in tracer.steps:
+        for index, step in enumerate(steps):
             name, run, allocs = self._build_step(step)
             self.schedule.append((_DISPLAY.get(name, name), run, allocs))
+            for buf in self._scratch_bufs:
+                self._give_back(buf)
+            self._scratch_bufs.clear()
+            for slot in release.get(index, ()):
+                buf = self._owned.pop(slot, None)
+                if buf is not None:
+                    self._give_back(buf)
+
+    # liveness ----------------------------------------------------------------
+    def _live_steps(self) -> list:
+        """The steps some returned slot depends on, in trace order.
+
+        Sets ``live_slots``: every slot a kept step reads or the plan
+        returns.  Dead slots let replay builders skip work whose results
+        nothing consumes (e.g. BPTT caches of a no-grad LSTM forward).
+        """
+        live = {ref[0] for ref in self.out_refs if ref is not None}
+        kept = []
+        for step in reversed(self.tracer.steps):
+            if any(slot in live for slot in step.out_slots):
+                kept.append(step)
+                live.update(ref[1] for ref in step.in_refs if ref[0] == "s")
+        self.live_slots = live
+        return kept[::-1]
+
+    def _release_points(self, steps) -> dict[int, list]:
+        """Step index -> storage slots whose last use is that step."""
+        root = self.tracer.view_root
+        last: dict[int, int] = {}
+        for index, step in enumerate(steps):
+            for slot in step.out_slots:
+                last[root.get(slot, slot)] = index
+            for ref in step.in_refs:
+                if ref[0] == "s":
+                    last[root.get(ref[1], ref[1])] = index
+        for ref in self.out_refs:
+            if ref is not None:
+                last.pop(root.get(ref[0], ref[0]), None)
+        release: dict[int, list] = {}
+        for slot, index in last.items():
+            release.setdefault(index, []).append(slot)
+        return release
 
     # output resolution ------------------------------------------------------
     def _resolve_outputs(self, outputs, copy_outputs):
@@ -385,11 +444,34 @@ class _PlanBuilder:
         return refs
 
     # step builders ----------------------------------------------------------
-    def _buf(self, slot: int, meta) -> np.ndarray:
-        shape, dtype, _ = meta
+    def _take(self, shape, dtype) -> np.ndarray:
+        free = self._pool.get((tuple(shape), np.dtype(dtype)))
+        if free:
+            return free.pop()
         buf = np.empty(shape, dtype=dtype)
+        self.arena_bytes += buf.nbytes
+        return buf
+
+    def _give_back(self, buf: np.ndarray) -> None:
+        self._pool.setdefault((buf.shape, buf.dtype), []).append(buf)
+
+    def _buf(self, slot: int, meta) -> np.ndarray:
+        """The pooled output buffer of ``slot``."""
+        shape, dtype, _ = meta
+        buf = self._take(shape, dtype)
+        self._owned[slot] = buf
         self.arena[slot] = buf
         return buf
+
+    def _scratch(self, shape, dtype=np.float64) -> np.ndarray:
+        """A pooled buffer used only inside the step being built."""
+        buf = self._take(shape, dtype)
+        self._scratch_bufs.append(buf)
+        return buf
+
+    def _workspace(self, ws: dict) -> dict:
+        self.arena_bytes += sum(buf.nbytes for buf in ws.values())
+        return ws
 
     def _operand(self, ref):
         """Returns (is_slot, slot_or_literal)."""
@@ -535,8 +617,8 @@ class _PlanBuilder:
     def _build_sigmoid_stable(self, step):
         _, a = self._operand(step.in_refs[0])
         buf = self._buf(step.out_slots[0], step.out_meta[0])
-        tmp = np.empty_like(buf)
-        mask = np.empty(buf.shape, dtype=bool)
+        tmp = self._scratch(buf.shape, buf.dtype)
+        mask = self._scratch(buf.shape, bool)
 
         def run(arena):
             kernels._sigmoid_into(arena[a], buf, tmp, mask)
@@ -545,7 +627,7 @@ class _PlanBuilder:
     def _build_relu_mask(self, step):
         _, a = self._operand(step.in_refs[0])
         buf = self._buf(step.out_slots[0], step.out_meta[0])
-        mask = np.empty(buf.shape, dtype=bool)
+        mask = self._scratch(buf.shape, bool)
 
         def run(arena):
             np.greater(arena[a], 0, out=mask)
@@ -556,7 +638,7 @@ class _PlanBuilder:
         (sa, a), (sb, b) = map(self._operand, step.in_refs)
         buf_a = self._buf(step.out_slots[0], step.out_meta[0])
         buf_b = self._buf(step.out_slots[1], step.out_meta[1])
-        mask = np.empty(buf_a.shape, dtype=bool)
+        mask = self._scratch(buf_a.shape, bool)
 
         def run(arena):
             ufunc(arena[a] if sa else a, arena[b] if sb else b, out=mask)
@@ -621,13 +703,14 @@ class _PlanBuilder:
         ins = [self._operand(r)[1] for r in step.in_refs]
         batch, steps_, in_dim = step.in_meta[0][0]
         n = step.in_meta[1][0][1]
-        ws = kernels._lstm_seq_workspace(batch, steps_, in_dim, n)
         # Dead-cache elimination: out_slots[1:] are the seven BPTT caches.
         # When nothing in the plan consumes them (a no-grad forward: the
         # d-step's detached generator pass, serving generation), replay
         # the scan with need_cache=False and bind only h_out -- same
-        # arithmetic, ~7 fewer array copies per timestep.
+        # arithmetic, ~7 fewer array copies per timestep, no cache arrays.
         need_cache = any(s in self.live_slots for s in step.out_slots[1:])
+        ws = self._workspace(kernels._lstm_seq_workspace(
+            batch, steps_, in_dim, n, need_cache))
         if need_cache:
             assign = self._assign_outputs(step.out_slots)
 
@@ -646,7 +729,8 @@ class _PlanBuilder:
         ins = [self._operand(r)[1] for r in step.in_refs]
         batch, steps_, in_dim = step.in_meta[1][0]
         n = step.in_meta[4][0][2]
-        ws = kernels._lstm_seq_bwd_workspace(batch, steps_, in_dim, n)
+        ws = self._workspace(
+            kernels._lstm_seq_bwd_workspace(batch, steps_, in_dim, n))
         assign = self._assign_outputs(step.out_slots)
 
         def run(arena):
@@ -659,11 +743,12 @@ class _Plan:
     """A compiled schedule bound to its preallocated arena."""
 
     __slots__ = ("schedule", "arena", "input_slots", "param_refs",
-                 "out_refs", "allocs_per_replay")
+                 "out_refs", "allocs_per_replay", "arena_bytes")
 
     def __init__(self, builder: _PlanBuilder):
         self.schedule = builder.schedule
         self.arena = builder.arena
+        self.arena_bytes = builder.arena_bytes
         self.input_slots = builder.tracer.input_slots
         self.param_refs = builder.tracer.param_refs
         self.out_refs = builder.out_refs
@@ -750,12 +835,22 @@ class PlanFunction:
             self.stats["replays"] += 1
             return entry.replay(inputs)
 
-    def allocs_per_replay(self) -> int | None:
-        """Allocation count of the most recently compiled plan, if any."""
+    def _latest_plan(self):
         for entry in reversed(list(self._plans.values())):
             if entry != "eager":
-                return entry.allocs_per_replay
+                return entry
         return None
+
+    def allocs_per_replay(self) -> int | None:
+        """Allocation count of the most recently compiled plan, if any."""
+        plan = self._latest_plan()
+        return None if plan is None else plan.allocs_per_replay
+
+    def arena_bytes(self) -> int | None:
+        """Bytes the most recently compiled plan preallocated (pooled slot
+        buffers, kernel workspaces and constant snapshots), if any."""
+        plan = self._latest_plan()
+        return None if plan is None else plan.arena_bytes
 
     def _eager(self, inputs):
         return _unwrap(self.fn(*inputs))
@@ -788,6 +883,9 @@ class PlanFunction:
                           and s not in returned_slots]
             if unconsumed:
                 tracer.fail("input array never consumed by a recorded step")
+        # The eager intermediates only kept array ids unique while tracing;
+        # release them before the arena is allocated.
+        tracer.keepalive.clear()
         if tracer.failed is None and tracer.steps:
             try:
                 plan = _Plan(_PlanBuilder(tracer, outputs,

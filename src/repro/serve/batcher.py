@@ -72,13 +72,16 @@ class BatcherClosed(RuntimeError):
 
 
 class StagedFuture(Future):
-    """A request's Future plus ``stages``: the seconds the worker spent on
-    it, keyed ``queue`` (admission to its bundle's start), ``model`` (its
-    blocks' passes) and ``assemble`` (decoding the concatenated blocks).
-    Filled in before the Future resolves."""
+    """A request's Future plus its timings: ``admitted``, the
+    ``time.perf_counter()`` at which it entered the queue (or completed,
+    for ``n == 0``), set before :meth:`MicroBatcher.submit` returns; and
+    ``stages``, the seconds the worker spent on it, keyed ``model`` (its
+    blocks' passes) and ``assemble`` (decoding the concatenated blocks),
+    filled in before the Future resolves."""
 
     def __init__(self):
         super().__init__()
+        self.admitted = 0.0
         self.stages: dict[str, float] = {}
 
 
@@ -87,10 +90,9 @@ class _Pending:
     """One admitted request and its partially filled output."""
 
     n: int
-    future: Future
+    future: StagedFuture
     parts: list  # (attrs, minmax, features) triple per block, plan order
     remaining: int  # blocks still to execute
-    enqueued: float = 0.0  # perf_counter time of the queue insert
     rows_done: int = 0
 
 
@@ -226,6 +228,7 @@ class MicroBatcher:
             obs_metrics.counter("serve.requests").inc()
             if not blocks:
                 # n == 0: nothing to execute, complete immediately.
+                future.admitted = time.perf_counter()
                 future.set_result(self._assemble(pending))
                 return future
             for index, (size, noise, cond) in enumerate(blocks):
@@ -233,7 +236,7 @@ class MicroBatcher:
                                           size=size, noise=noise,
                                           cond=cond))
             self._queued_rows += n
-            pending.enqueued = time.perf_counter()
+            future.admitted = time.perf_counter()
             obs_metrics.gauge("serve.queue_rows").set(self._queued_rows)
             self._work.notify()
         return future
@@ -260,7 +263,7 @@ class MicroBatcher:
                     # that does not fill the bundle) must not reset the
                     # clock, and the head block's admission time bounds
                     # how long any queued request can be held.
-                    deadline = (self._queue[0].pending.enqueued
+                    deadline = (self._queue[0].pending.future.admitted
                                 + self.max_wait_ms / 1000.0)
                     remaining = deadline - time.perf_counter()
                     if remaining <= 0:
@@ -312,15 +315,12 @@ class MicroBatcher:
             bundle = self._take_bundle()
             if bundle is None:
                 return
-            bundle_started = time.perf_counter()
             finished: list[_Pending] = []
             for block in bundle.blocks:
                 pending = block.pending
                 if pending.future.done():  # failed or cancelled earlier
                     continue
                 stages = pending.future.stages
-                if block.index == 0:
-                    stages["queue"] = bundle_started - pending.enqueued
                 started = time.perf_counter()
                 try:
                     if self._block_mode:
@@ -364,7 +364,7 @@ class MicroBatcher:
                 latency = obs_metrics.histogram("serve.latency_seconds",
                                                 LATENCY_BUCKETS)
                 for pending in finished:
-                    latency.observe(now - pending.enqueued)
+                    latency.observe(now - pending.future.admitted)
 
     # -- shutdown ------------------------------------------------------------
     def close(self, drain: bool = True, timeout: float | None = None

@@ -184,8 +184,10 @@ def validate_generate(header: dict, max_request_n: int):
 
 
 #: Stages a replica times for each served ``generate``, in order:
-#: frame read, validation + planning + queue insert, wait for the worker,
-#: model passes, decoding, npz encoding, response write.
+#: frame read, validation + planning + queue insert, wait (for the worker,
+#: and for the handler to wake once the result is ready), model passes,
+#: decoding, npz encoding, response write.  Consecutive timestamps bound
+#: them, so they tile the request.
 SERVE_STAGES = ("read", "admit", "queue", "model", "assemble", "encode",
                 "write")
 #: Stages a fleet router times for each routed ``generate``.

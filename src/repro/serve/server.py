@@ -200,7 +200,8 @@ class GenerationService:
         A ``generate`` stores the seconds of its stages (``admit``,
         ``queue``, ``model``, ``assemble``, ``encode``) in ``stages``
         when given; :class:`Server` observes them, with ``read`` and
-        ``write``, once the response is written.
+        ``write``, once the response is written.  They tile the call
+        from validation to the encoded response.
         """
         op = header.get("op")
         if op == "ping":
@@ -256,7 +257,7 @@ class GenerationService:
             return self._error(protocol.ERR_INTERNAL,
                                f"model {spec!r} kept closing during "
                                f"admission (eviction thrash)")
-        stages["admit"] = time.perf_counter() - started
+        stages["admit"] = future.admitted - started
         try:
             dataset = future.result()
         except BatcherClosed as exc:
@@ -264,10 +265,17 @@ class GenerationService:
         except Exception as exc:
             return self._error(protocol.ERR_INTERNAL,
                                f"generation failed: {exc}")
+        woken = time.perf_counter()
+        # The worker's model passes and decoding lie between admission
+        # and this thread's wake-up; the rest of that wait (the queue,
+        # other requests' passes in the same bundle, the hand-off back
+        # to this thread) is ``queue``.
         stages.update(future.stages)
-        started = time.perf_counter()
+        stages["queue"] = (woken - future.admitted
+                           - stages.get("model", 0.0)
+                           - stages.get("assemble", 0.0))
         payload = protocol.dataset_to_bytes(dataset)
-        stages["encode"] = time.perf_counter() - started
+        stages["encode"] = time.perf_counter() - woken
         return {"status": "ok", "n": n, "seed": seed,
                 "model": self.aliases.get(str(spec), str(spec)),
                 "payload_bytes": len(payload)}, payload

@@ -49,8 +49,13 @@ def _run(compiled: bool, steps: int) -> dict:
             _iteration(model.trainer, encoded)
         for _ in range(steps):
             _iteration(model.trainer, encoded)
+    plans = {attr: model.trainer.__dict__.get(attr)
+             for attr in model.trainer._PLANS}
     return {"ops": prof.total_calls(), "allocs": prof.total_allocs(),
-            "sha": _params_sha(model.trainer)}
+            "sha": _params_sha(model.trainer),
+            "arena_bytes": {attr.strip("_"): plan.arena_bytes()
+                            for attr, plan in plans.items()
+                            if plan is not None}}
 
 
 @pytest.fixture(scope="module")
@@ -72,4 +77,13 @@ def test_step_op_and_alloc_counts_are_pinned(runs):
     BLAS thread count.  The op-composed layers recorded 11596 ops and
     9035 allocations for the same iteration."""
     assert (runs["fused"]["ops"], runs["fused"]["allocs"]) == (851, 660)
-    assert (runs["compiled"]["ops"], runs["compiled"]["allocs"]) == (895, 0)
+    assert (runs["compiled"]["ops"], runs["compiled"]["allocs"]) == (762, 0)
+
+
+def test_plan_arena_bytes_are_pinned(runs):
+    """Bytes each compiled step plan preallocates: pooled slot buffers,
+    LSTM workspaces and constant snapshots.  Before buffer planning each
+    traced slot had a buffer of its own: 14162464 (d), 18762888 (g) and
+    557616 (w) bytes."""
+    assert runs["compiled"]["arena_bytes"] == {
+        "d_plan": 6811168, "g_plan": 10650592, "w_plan": 385320}

@@ -101,6 +101,59 @@ class TestFiniteValues:
         assert np.array_equal(dataset.features, gcut.features)
 
 
+class TestCategoricalCodes:
+    """Categorical cells must hold a category index, checked like NaN."""
+
+    SCHEMA = DataSchema(
+        attributes=(CategoricalSpec("kind", ("a", "b")),
+                    ContinuousSpec("size", low=0.0)),
+        features=(ContinuousSpec("v", low=0.0),
+                  CategoricalSpec("state", ("up", "down", "idle"))),
+        max_length=4,
+    )
+
+    def _arrays(self):
+        attributes = np.array([[0.0, 2.5], [1.0, 0.5], [1.0, 7.0]])
+        features = np.zeros((3, 4, 2))
+        features[:, :, 0] = 1.5
+        features[:, :, 1] = [[0, 1, 2, 1], [2, 2, 0, 0], [1, 0, 0, 0]]
+        return attributes, features, np.array([4, 2, 1])
+
+    def test_valid_codes_are_accepted(self):
+        dataset = TimeSeriesDataset(self.SCHEMA, *self._arrays())
+        assert dataset.features[0, :, 1].tolist() == [0, 1, 2, 1]
+
+    @pytest.mark.parametrize("code", [2.0, -1.0, 0.5])
+    def test_attribute_code_names_the_field(self, code):
+        attributes, features, lengths = self._arrays()
+        attributes[1, 0] = code
+        with pytest.raises(ValueError, match=(
+                rf"object 1 attribute 'kind' is {code} \(categorical codes "
+                r"must be integers in \[0, 2\)\)")):
+            TimeSeriesDataset(self.SCHEMA, attributes, features, lengths)
+
+    def test_continuous_attribute_is_not_a_code(self):
+        attributes, features, lengths = self._arrays()
+        attributes[2, 1] = 7.25
+        TimeSeriesDataset(self.SCHEMA, attributes, features, lengths)
+
+    @pytest.mark.parametrize("code", [3.0, 1.5])
+    def test_feature_code_inside_length_names_the_cell(self, code):
+        attributes, features, lengths = self._arrays()
+        features[1, 1, 1] = code
+        with pytest.raises(ValueError, match=(
+                rf"object 1 step 1 feature 'state' is {code} "
+                r"\(categorical codes must be integers in \[0, 3\)\)")):
+            TimeSeriesDataset(self.SCHEMA, attributes, features, lengths)
+
+    def test_feature_code_in_padding_becomes_zero(self):
+        attributes, features, lengths = self._arrays()
+        features[2, 1:, 1] = [9.0, -4.0, 0.5]
+        dataset = TimeSeriesDataset(self.SCHEMA, attributes, features,
+                                    lengths)
+        assert dataset.features[2, :, 1].tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 class TestAccessors:
     def test_len(self):
         assert len(make_dataset()) == 4

@@ -261,3 +261,59 @@ class TestProfilerIntegration:
             plan((x,))                      # trace == eager execution
         eager_allocs = prof.total_allocs()
         assert plan.allocs_per_replay() * 10 <= eager_allocs
+
+
+class TestBufferPlanning:
+    def _replay_and_eager(self, fn, *inputs):
+        plan = PlanFunction(fn)
+        plan(inputs)                         # trace
+        with profiler.profile() as prof:
+            replayed = [a.copy() for a in plan(inputs)]
+        with plan_mode(False):
+            eager = plan(inputs)
+        assert plan.stats["replays"] == 1
+        for r, e in zip(replayed, eager):
+            assert r.tobytes() == e.tobytes()
+        return plan, prof.stats()
+
+    def test_dead_multi_output_step_is_dropped(self):
+        """``maximum`` records its two gradient masks as one two-output
+        step; with no backward nothing reads them, so the replay skips
+        that step and still matches the eager tape byte for byte."""
+        def fn(x):
+            m = ops.maximum(Tensor(x), Tensor(0.25))
+            return ((m * Tensor(3.0)).sum(axis=0), ops.tanh(m))
+
+        x = np.random.default_rng(10).normal(size=(5, 4))
+        _, stats = self._replay_and_eager(fn, x)
+        assert "maximum.mask" not in stats
+        assert stats["maximum"]["calls"] == 1
+
+    def test_chain_reuses_pooled_buffers(self):
+        def fn(x):
+            y = Tensor(x)
+            for _ in range(8):
+                y = ops.exp(ops.tanh(y) * Tensor(0.5))
+            return (y,)
+
+        x = np.random.default_rng(11).normal(size=(6, 5))
+        plan, _ = self._replay_and_eager(fn, x)
+        # 16 same-shape intermediates fit in three buffers (the returned
+        # one included); constants are the 0-d 0.5 snapshots.
+        assert plan.arena_bytes() <= 3 * x.nbytes + 8 * 8
+
+    def test_view_keeps_its_storage_alive(self):
+        """``a``'s last direct read is the transpose, but the view is read
+        later: ``b`` must not be given ``a``'s buffer before then."""
+        def fn(x):
+            t = Tensor(x)
+            a = t * Tensor(2.0)
+            view = ops.transpose(a)
+            b = t + Tensor(1.0)
+            return (view * ops.transpose(b),)
+
+        x = np.random.default_rng(12).normal(size=(4, 3))
+        self._replay_and_eager(fn, x)
+
+    def test_arena_bytes_before_any_plan(self):
+        assert PlanFunction(_mlp_fn(_make_mlp())).arena_bytes() is None
