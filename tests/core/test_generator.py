@@ -7,6 +7,7 @@ from repro.core.generator import (AttributeGenerator, BlockActivation,
                                   FeatureGenerator, MinMaxGenerator,
                                   OutputBlock)
 from repro.nn import Tensor, grad
+from repro.nn.plan import PlanFunction
 from tests.nn import oracle
 
 
@@ -47,6 +48,66 @@ class TestBlockActivation:
         out = act(Tensor(RNG.normal(size=(4, 6, 3))))
         assert out.shape == (4, 6, 3)
         assert np.allclose(out.data[:, :, :2].sum(axis=2), 1.0)
+
+
+def _blocks(*spec) -> list[OutputBlock]:
+    return [OutputBlock(dim, kind) for dim, kind in spec]
+
+
+#: Layouts whose per-block and grouped evaluation must agree bit for bit:
+#: a feature generator's records (wide softmax blocks repeated per
+#: record), a 2-wide flag next to elementwise blocks, softmax blocks
+#: wider than one pairwise-summation block (128), a lone block and one
+#: block per kind.
+PARITY_LAYOUTS = {
+    "records": _blocks((9, "softmax"), (1, "sigmoid"), (12, "softmax"),
+                       (1, "tanh"), (2, "softmax")) * 3,
+    "flags": _blocks((1, "sigmoid"), (1, "sigmoid"), (2, "softmax")) * 4,
+    "very_wide": _blocks((130, "softmax"), (3, "tanh"), (130, "softmax")),
+    "single": _blocks((5, "sigmoid")),
+    "one_per_kind": _blocks((3, "tanh"), (8, "softmax"), (2, "sigmoid")),
+}
+
+
+def _activation_and_input_grad(act, x, upstream):
+    xt = Tensor(x, requires_grad=True)
+    out = act(xt)
+    (gx,) = grad(out, [xt], grad_output=Tensor(upstream))
+    return out, gx
+
+
+def _assert_same_bytes(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestBlockActivationParity:
+    """:class:`BlockActivation` against the per-block oracle, forward and
+    input gradient, bit for bit: eagerly and replayed from a plan."""
+
+    @pytest.mark.parametrize("bound", [None, 3.0])
+    @pytest.mark.parametrize("layout", sorted(PARITY_LAYOUTS))
+    @pytest.mark.parametrize("lead", [(7,), (3, 5)])
+    def test_matches_per_block_oracle(self, layout, bound, lead):
+        act = BlockActivation(PARITY_LAYOUTS[layout], logit_bound=bound)
+        rng = np.random.default_rng(len(layout) + len(lead))
+        x = rng.normal(size=lead + (act.dimension,)) * 4
+        upstream = rng.normal(size=x.shape)
+        out, gx = _activation_and_input_grad(act, x, upstream)
+        ref_out, ref_gx = _activation_and_input_grad(
+            lambda t: oracle.block_activation(act, t), x, upstream)
+        _assert_same_bytes(out.data, ref_out.data)
+        _assert_same_bytes(gx.data, ref_gx.data)
+
+        def fn(x_arr, g_arr):
+            return _activation_and_input_grad(act, x_arr, g_arr)
+
+        plan = PlanFunction(fn)
+        plan((x, upstream))  # trace
+        replayed = plan((x.copy(), upstream.copy()))
+        assert plan.stats["replays"] == 1
+        _assert_same_bytes(replayed[0], ref_out.data)
+        _assert_same_bytes(replayed[1], ref_gx.data)
 
 
 class TestAttributeGenerator:

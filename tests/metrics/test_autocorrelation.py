@@ -80,6 +80,37 @@ class TestAverageAutocorrelation:
             expected = np.nanmean(acfs, axis=0)
         assert acf.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("max_lag", [None, 0, 1, 5, 23, 40])
+    def test_ragged_batch_matches_per_series_reference(self, max_lag):
+        """Bit for bit the per-series ACFs averaged in sample order, on
+        every length from 0 to the full width (several series share
+        each), constant rows, and lags beyond a series' length."""
+        rng = np.random.default_rng(8)
+        tmax = 24
+        lengths = np.concatenate([np.arange(tmax + 1),
+                                  rng.integers(0, tmax + 1, 30)])
+        rng.shuffle(lengths)
+        batch = rng.normal(size=(len(lengths), tmax)) * 5 + 3
+        batch[::7] = 2.5                           # constant rows
+        batch[3, :lengths[3]] = np.arange(lengths[3]) % 2  # alternating
+        lag = tmax - 1 if max_lag is None else max_lag
+        acfs = np.stack([series_autocorrelation(row[:n], lag)
+                         for row, n in zip(batch, lengths)])
+        missing = np.isnan(acfs)
+        with np.errstate(invalid="ignore"):
+            expected = (np.where(missing, 0.0, acfs).sum(axis=0)
+                        / (~missing).sum(axis=0))
+        acf = average_autocorrelation(batch, lengths, max_lag=max_lag)
+        assert acf.shape == (lag + 1,)
+        assert acf.tobytes() == expected.tobytes()
+
+    def test_full_length_default_matches_reference(self):
+        batch = np.random.default_rng(9).normal(size=(17, 33))
+        expected = np.mean(np.stack([series_autocorrelation(row, 32)
+                                     for row in batch]), axis=0)
+        acf = average_autocorrelation(batch)
+        assert acf.tobytes() == expected.tobytes()
+
 
 class TestAutocorrelationMSE:
     def test_zero_for_identical(self):

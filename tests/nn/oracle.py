@@ -8,12 +8,16 @@ gradients come from the autodiff engine, one graph node per primitive:
 - :func:`linear`, :func:`lstm_cell`, :func:`lstm_sequence` -- the three
   kernels;
 - :func:`mlp` -- an :class:`~repro.nn.MLP` forward through :func:`linear`;
+- :func:`block_activation` -- a :class:`BlockActivation` one output
+  block at a time: slice, activate, concatenate;
 - :func:`feature_generator` -- DoppelGANger's feature generator one
   pass at a time, the head applied to each pass's hidden state;
 - :func:`rnn_step_loss` -- the RNN baseline's teacher-forced loss one
   time step at a time;
 - :func:`reference_layers` -- a DoppelGANger's layers routed through this
-  module, so a whole model can train on the oracle.
+  module, so a whole model can train on the oracle;
+- :class:`ReferenceAdam` -- Adam one parameter at a time, in the
+  expression form :class:`repro.nn.optim.Adam` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import contextlib
 import numpy as np
 
 from repro.baselines.rnn import RNNBaseline
-from repro.core.generator import FeatureGenerator
+from repro.core.generator import BlockActivation, FeatureGenerator
 from repro.nn import MLP, Linear, Tensor, layers, ops
+from repro.nn import functional as F
 from repro.nn.plan import plan_mode
 
 
@@ -64,6 +69,25 @@ def mlp(module: MLP, x: Tensor) -> Tensor:
     return linear(x, last.weight, last.bias)
 
 
+def block_activation(activation: BlockActivation, x: Tensor) -> Tensor:
+    """:meth:`BlockActivation.__call__`, one block at a time."""
+    if activation.logit_bound is not None:
+        bound = Tensor(float(activation.logit_bound))
+        x = bound * ops.tanh(x / bound)
+    outputs = []
+    offset = 0
+    for block in activation.blocks:
+        piece = x[..., offset:offset + block.dimension]
+        offset += block.dimension
+        if block.kind == "softmax":
+            outputs.append(F.softmax(piece, axis=-1))
+        elif block.kind == "sigmoid":
+            outputs.append(ops.sigmoid(piece))
+        else:
+            outputs.append(ops.tanh(piece))
+    return ops.concat(outputs, axis=-1)
+
+
 def feature_generator(gen: FeatureGenerator, attributes: Tensor,
                       minmax: Tensor, z_seq: Tensor) -> Tensor:
     """:meth:`FeatureGenerator.forward`, one pass per loop iteration."""
@@ -77,7 +101,7 @@ def feature_generator(gen: FeatureGenerator, attributes: Tensor,
         step_in = ops.concat([conditioning, z_seq[:, p, :]], axis=1)
         h, c = lstm_cell(step_in, h, c, cell.weight_ih, cell.weight_hh,
                          cell.bias)
-        out = gen.activation(mlp(gen.head, h))
+        out = block_activation(gen.activation, mlp(gen.head, h))
         chunks.append(ops.reshape(out, (batch, gen.sample_len,
                                         gen.step_dim)))
     return ops.concat(chunks, axis=1)
@@ -109,16 +133,57 @@ def rnn_step_loss(model: RNNBaseline, attrs: np.ndarray, feats: np.ndarray,
     ).sum() / Tensor(denom)
 
 
+class ReferenceAdam:
+    """Adam over a parameter list, one parameter and one expression at a
+    time; a ``None`` gradient leaves that parameter and its moments as
+    they are."""
+
+    def __init__(self, params, lr=1e-3, betas=(0.5, 0.999), eps=1e-8):
+        self.params = list(params)
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
+
+    def load_state_dict(self, state: dict) -> None:
+        self.lr = float(state["lr"])
+        self.beta1, self.beta2 = (float(b) for b in state["betas"])
+        self.eps = float(state["eps"])
+        self.t = int(state["t"])
+        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
+        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
+
+    def step(self, grads) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if g is None:
+                continue
+            g = g.data if isinstance(g, Tensor) else np.asarray(g)
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + ((1.0 - b2) * g) * g
+            p.data = p.data - (self.lr * (self.m[i] / b1t)
+                               / (np.sqrt(self.v[i] / b2t) + self.eps))
+
+
 @contextlib.contextmanager
 def reference_layers():
-    """Route :class:`Linear` (so every MLP) and :class:`FeatureGenerator`
-    through the oracle, and run eagerly (no plan replay): a DoppelGANger
-    trained inside this block never calls a fused kernel."""
-    saved = Linear.forward, FeatureGenerator.forward
+    """Route :class:`Linear` (so every MLP), :class:`BlockActivation` and
+    :class:`FeatureGenerator` through the oracle, and run eagerly (no plan
+    replay): a DoppelGANger trained inside this block never calls a fused
+    kernel."""
+    saved = (Linear.forward, BlockActivation.__call__,
+             FeatureGenerator.forward)
     Linear.forward = lambda self, x: linear(x, self.weight, self.bias)
+    BlockActivation.__call__ = block_activation
     FeatureGenerator.forward = feature_generator
     try:
         with plan_mode(False):
             yield
     finally:
-        Linear.forward, FeatureGenerator.forward = saved
+        (Linear.forward, BlockActivation.__call__,
+         FeatureGenerator.forward) = saved

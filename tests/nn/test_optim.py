@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import SGD, Adam, Parameter, Tensor, grad
+from tests.nn.oracle import ReferenceAdam
 
 
 def quadratic_loss(p: Parameter, target: np.ndarray):
@@ -194,3 +195,74 @@ class TestOptimizerStateDict:
         state["v"] = [np.zeros(3)]
         with pytest.raises(ValueError, match="shape"):
             opt.load_state_dict(state)
+
+
+class TestAdamMatchesPerParameterOracle:
+    """Adam against :class:`tests.nn.oracle.ReferenceAdam`, bit for bit:
+    parameters and both moments after every step."""
+
+    SHAPES = [(3, 4), (5,), (), (2, 3, 2), (1,)]
+
+    def _pair(self, seed, **kwargs):
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=shape) for shape in self.SHAPES]
+        params = [Parameter(v.copy()) for v in values]
+        ref_params = [Parameter(v.copy()) for v in values]
+        return (Adam(params, **kwargs), params,
+                ReferenceAdam(ref_params, **kwargs), ref_params)
+
+    @staticmethod
+    def _grads(rng, shapes, drop=0.3):
+        grads = []
+        for i, shape in enumerate(shapes):
+            if rng.random() < drop:
+                grads.append(None)
+                continue
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+            grads.append(Tensor(g) if i % 2 else g)
+        return grads
+
+    def _assert_same(self, opt, params, ref, ref_params):
+        for i, (p, q) in enumerate(zip(params, ref_params)):
+            assert p.data.tobytes() == q.data.tobytes(), f"param {i}"
+            assert opt._m[i].tobytes() == ref.m[i].tobytes(), f"m {i}"
+            assert opt._v[i].tobytes() == ref.v[i].tobytes(), f"v {i}"
+        assert opt._t == ref.t
+
+    def _run(self, rng, opt, params, ref, ref_params, steps, drop=0.3):
+        for _ in range(steps):
+            grads = self._grads(rng, self.SHAPES, drop)
+            opt.step(grads)
+            ref.step(grads)
+            self._assert_same(opt, params, ref, ref_params)
+
+    def test_random_gradients_with_none_entries(self):
+        rng = np.random.default_rng(0)
+        pair = self._pair(1, lr=0.01, betas=(0.9, 0.999))
+        self._run(rng, *pair, steps=12)
+        self._run(rng, *pair, steps=1, drop=1.0)   # every gradient None
+        self._run(rng, *pair, steps=3, drop=0.0)
+
+    def test_after_load_state_dict(self):
+        rng = np.random.default_rng(2)
+        opt, params, ref, ref_params = self._pair(3, lr=0.02)
+        self._run(rng, opt, params, ref, ref_params, steps=5)
+        state = opt.state_dict()
+        fresh_params = [Parameter(p.data.copy()) for p in params]
+        fresh = Adam(fresh_params, lr=0.5, betas=(0.1, 0.2), eps=1.0)
+        fresh.load_state_dict(state)
+        ref.load_state_dict(state)
+        self._assert_same(fresh, fresh_params, ref, ref_params)
+        self._run(rng, fresh, fresh_params, ref, ref_params, steps=6)
+        # The state it was loaded from is a copy, not a live view.
+        assert not np.array_equal(state["m"][0], fresh._m[0])
+
+    def test_after_parameter_data_reassignment(self):
+        rng = np.random.default_rng(4)
+        opt, params, ref, ref_params = self._pair(5, lr=0.03)
+        self._run(rng, opt, params, ref, ref_params, steps=4)
+        for p, q in zip(params, ref_params):
+            value = rng.normal(size=p.data.shape)
+            p.data = value.copy()
+            q.data = value.copy()
+        self._run(rng, opt, params, ref, ref_params, steps=4)
