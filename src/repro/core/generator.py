@@ -44,6 +44,19 @@ class OutputBlock:
 class BlockActivation:
     """Applies per-block activations over the last axis of a tensor.
 
+    Blocks are evaluated a group at a time rather than one by one: all
+    sigmoid columns form one group, all tanh columns another, and softmax
+    blocks of one width a third (viewed as ``(..., n_blocks, width)`` so
+    each block normalises on its own).  A group whose columns are
+    contiguous is a basic slice; any other is gathered with
+    :func:`repro.nn.ops.take`.  The group outputs are concatenated and
+    one inverse permutation restores the block order.  Every output
+    element and input gradient is bit-identical to slicing and
+    activating each block on its own (pinned against a per-block oracle
+    in ``tests/core/test_generator.py``): the activations are
+    elementwise, and each softmax reduces over contiguous rows of its
+    width exactly as a lone block does.
+
     ``logit_bound`` optionally squashes pre-activations through
     ``c * tanh(x / c)`` first.  This keeps sigmoid/softmax outputs away
     from their saturated extremes, where WGAN gradients through the
@@ -59,23 +72,67 @@ class BlockActivation:
         if logit_bound is not None and logit_bound <= 0:
             raise ValueError("logit_bound must be positive")
         self.logit_bound = logit_bound
+        self._groups, self._inverse = _group_columns(self.blocks)
 
     def __call__(self, x: Tensor) -> Tensor:
         if self.logit_bound is not None:
             bound = Tensor(float(self.logit_bound))
             x = bound * ops.tanh(x / bound)
         outputs = []
-        offset = 0
-        for block in self.blocks:
-            piece = x[..., offset:offset + block.dimension]
-            offset += block.dimension
-            if block.kind == "softmax":
-                outputs.append(F.softmax(piece, axis=-1))
-            elif block.kind == "sigmoid":
-                outputs.append(ops.sigmoid(piece))
+        for kind, width, columns in self._groups:
+            if isinstance(columns, slice):
+                piece = x[..., columns]
             else:
+                piece = ops.take(x, columns, axis=-1)
+            if kind == "sigmoid":
+                outputs.append(ops.sigmoid(piece))
+            elif kind == "tanh":
                 outputs.append(ops.tanh(piece))
-        return ops.concat(outputs, axis=-1)
+            elif piece.shape[-1] == width:
+                outputs.append(F.softmax(piece, axis=-1))
+            else:
+                lead = piece.shape[:-1]
+                rows = ops.reshape(piece, lead + (-1, width))
+                outputs.append(ops.reshape(F.softmax(rows, axis=-1),
+                                           lead + (piece.shape[-1],)))
+        out = outputs[0] if len(outputs) == 1 else ops.concat(outputs,
+                                                              axis=-1)
+        if self._inverse is not None:
+            out = ops.take(out, self._inverse, axis=-1)
+        return out
+
+
+def _group_columns(blocks: list[OutputBlock]) -> tuple[list, np.ndarray | None]:
+    """Group block columns by activation, in order of first appearance.
+
+    Returns ``(groups, inverse)``: each group is ``(kind, width, columns)``
+    with ``width`` the softmax block width (1 for elementwise kinds) and
+    ``columns`` a slice when contiguous, else an index array; ``inverse``
+    maps the concatenated group outputs back to block order (``None``
+    when they already are in it).
+    """
+    members: dict[tuple, list] = {}
+    offset = 0
+    for block in blocks:
+        width = block.dimension if block.kind == "softmax" else 1
+        members.setdefault((block.kind, width), []).append(
+            np.arange(offset, offset + block.dimension))
+        offset += block.dimension
+    groups, order = [], []
+    for (kind, width), ranges in members.items():
+        columns = np.concatenate(ranges)
+        start = int(columns[0])
+        if np.array_equal(columns, np.arange(start, start + len(columns))):
+            groups.append((kind, width, slice(start, start + len(columns))))
+        else:
+            groups.append((kind, width, columns))
+        order.append(columns)
+    if not order:
+        return groups, None
+    permutation = np.concatenate(order)
+    if np.array_equal(permutation, np.arange(len(permutation))):
+        return groups, None
+    return groups, np.argsort(permutation)
 
 
 def continuous_kind(target_range: str) -> str:

@@ -37,6 +37,11 @@ def average_autocorrelation(features: np.ndarray,
                             max_lag: int | None = None) -> np.ndarray:
     """Per-series ACF averaged over samples (the Figure-1 curve).
 
+    Series of one length are handled together: one row-wise centring,
+    then one product and row sum per lag.  Each row reduces exactly as
+    :func:`series_autocorrelation` reduces that series alone, so the
+    result is bit-identical to averaging the per-series ACFs.
+
     Args:
         features: (n, T) array of one feature column.
         lengths: Valid lengths per series (defaults to full T).
@@ -46,12 +51,25 @@ def average_autocorrelation(features: np.ndarray,
     n, tmax = features.shape
     if lengths is None:
         lengths = np.full(n, tmax, dtype=np.int64)
+    lengths = np.minimum(lengths, tmax)
     if max_lag is None:
         max_lag = tmax - 1
-    acfs = np.stack([
-        series_autocorrelation(features[i, :lengths[i]], max_lag)
-        for i in range(n)
-    ])
+    acfs = np.full((n, max_lag + 1), np.nan)
+    for length in np.unique(lengths):
+        length = int(length)
+        if length < 2:
+            continue
+        rows = np.flatnonzero(lengths == length)
+        series = features[rows, :length]
+        centred = series - series.mean(axis=1, keepdims=True)
+        denom = (centred * centred).sum(axis=1)
+        varying = denom > 0
+        if not varying.all():
+            rows, centred, denom = (rows[varying], centred[varying],
+                                    denom[varying])
+        for lag in range(min(max_lag, length - 1) + 1):
+            acfs[rows, lag] = ((centred[:, :length - lag]
+                                * centred[:, lag:]).sum(axis=1) / denom)
     # np.nanmean's arithmetic, spelled out: a lag no series reaches is
     # 0 / 0 = NaN, where nanmean would also warn "Mean of empty slice".
     missing = np.isnan(acfs)

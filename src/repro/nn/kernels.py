@@ -106,28 +106,37 @@ _SEQ_CACHES = ("i_all", "f_all", "g_all", "o_all", "c_prev_all",
                "h_prev_all", "tanh_c_all")
 
 
-def _lstm_seq_workspace(batch: int, steps: int, in_dim: int, n: int,
-                        need_cache: bool = True) -> dict:
-    """Preallocated buffers for one fixed-shape LSTM sequence scan; the
-    BPTT caches only when the scan stores them (``need_cache``)."""
-    big = (batch, steps, n)
-    ws = {
-        "x_proj_flat": np.empty((batch * steps, 4 * n)),
-        "h_out": np.empty(big),
-        "z": np.empty((batch, 4 * n)),
-        "c": np.empty((batch, n)), "h": np.empty((batch, n)),
-        "tmp": np.empty((batch, n)), "tanh_c": np.empty((batch, n)),
+def _lstm_seq_layout(batch: int, steps: int, in_dim: int, n: int,
+                     need_cache: bool = True) -> dict:
+    """``name -> (shape, dtype)`` of every buffer one fixed-shape LSTM
+    sequence scan uses; the BPTT caches only when the scan stores them
+    (``need_cache``).  ``h_out`` and the caches are the scan's outputs,
+    the rest is scratch that is dead once the scan returns."""
+    f64 = np.float64
+    big = ((batch, steps, n), f64)
+    small = ((batch, n), f64)
+    layout = {
+        "x_proj_flat": ((batch * steps, 4 * n), f64),
+        "h_out": big,
+        "z": ((batch, 4 * n), f64),
+        "c": small, "h": small, "tmp": small, "tanh_c": small,
         # Gate buffers: input+forget share one sigmoid pass over z[:, :2n].
-        "i_f": np.empty((batch, 2 * n)), "g": np.empty((batch, n)),
-        "o": np.empty((batch, n)),
-        "sig_tmp": np.empty((batch, 2 * n)),
-        "sig_mask": np.empty((batch, 2 * n), dtype=bool),
-        "sig_tmp_o": np.empty((batch, n)),
-        "sig_mask_o": np.empty((batch, n), dtype=bool),
+        "i_f": ((batch, 2 * n), f64), "g": small, "o": small,
+        "sig_tmp": ((batch, 2 * n), f64),
+        "sig_mask": ((batch, 2 * n), bool),
+        "sig_tmp_o": small,
+        "sig_mask_o": ((batch, n), bool),
     }
     if need_cache:
-        ws.update((name, np.empty(big)) for name in _SEQ_CACHES)
-    return ws
+        layout.update((name, big) for name in _SEQ_CACHES)
+    return layout
+
+
+def _lstm_seq_workspace(batch: int, steps: int, in_dim: int, n: int,
+                        need_cache: bool = True) -> dict:
+    """Freshly allocated buffers of :func:`_lstm_seq_layout`."""
+    return {name: np.empty(shape, dtype) for name, (shape, dtype)
+            in _lstm_seq_layout(batch, steps, in_dim, n, need_cache).items()}
 
 
 def _lstm_seq_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray,
@@ -199,19 +208,30 @@ def _lstm_seq_forward(x: np.ndarray, h0: np.ndarray, c0: np.ndarray,
             tanh_c_all)
 
 
+def _lstm_seq_bwd_layout(batch: int, steps: int, in_dim: int,
+                         n: int) -> dict:
+    """``name -> (shape, dtype)`` of every buffer one BPTT pass uses.
+    ``dx_flat``, ``dh_next``, ``dc_next`` and the three weight gradients
+    hold its outputs; ``dz_all``, ``dh``, ``dc``, ``t1`` and ``t2`` are
+    scratch."""
+    f64 = np.float64
+    small = ((batch, n), f64)
+    return {
+        "dz_all": ((batch, steps, 4 * n), f64),
+        "dh": small, "dc": small, "dh_next": small, "dc_next": small,
+        "t1": small, "t2": small,
+        "dx_flat": ((batch * steps, in_dim), f64),
+        "d_wih": ((in_dim, 4 * n), f64),
+        "d_whh": ((n, 4 * n), f64),
+        "d_bias": ((4 * n,), f64),
+    }
+
+
 def _lstm_seq_bwd_workspace(batch: int, steps: int, in_dim: int,
                             n: int) -> dict:
-    small = (batch, n)
-    return {
-        "dz_all": np.empty((batch, steps, 4 * n)),
-        "dh": np.empty(small), "dc": np.empty(small),
-        "dh_next": np.empty(small), "dc_next": np.empty(small),
-        "t1": np.empty(small), "t2": np.empty(small),
-        "dx_flat": np.empty((batch * steps, in_dim)),
-        "d_wih": np.empty((in_dim, 4 * n)),
-        "d_whh": np.empty((n, 4 * n)),
-        "d_bias": np.empty(4 * n),
-    }
+    """Freshly allocated buffers of :func:`_lstm_seq_bwd_layout`."""
+    return {name: np.empty(shape, dtype) for name, (shape, dtype)
+            in _lstm_seq_bwd_layout(batch, steps, in_dim, n).items()}
 
 
 def _lstm_seq_backward(upstream: np.ndarray, x: np.ndarray,

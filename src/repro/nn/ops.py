@@ -22,7 +22,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "power", "exp", "log", "sqrt",
     "tanh", "sigmoid", "relu", "abs_", "maximum", "minimum", "matmul",
     "sum_", "mean", "reshape", "transpose", "swapaxes", "concat", "stack",
-    "getitem", "broadcast_to", "clip",
+    "getitem", "take", "broadcast_to", "clip",
 ]
 
 _EPS = 1e-12
@@ -403,6 +403,27 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 def getitem(a, index) -> Tensor:
     a = astensor(a)
     out = a.data[index]
+    original = a.shape
+
+    def vjp(g):
+        return (_scatter(g, index, original),)
+
+    return _result(out, (a,), vjp)
+
+
+def take(a, indices, axis: int = -1) -> Tensor:
+    """Gather ``indices`` along ``axis`` into a new C-contiguous array.
+
+    ``a[..., indices]`` would return the same values in a transposed
+    memory layout, and a reduction over a transposed axis groups its
+    sums differently: the contiguous result keeps later reductions
+    bit-identical to reducing a contiguous slice.
+    """
+    a = astensor(a)
+    axis = axis % a.ndim
+    indices = np.asarray(indices, dtype=np.intp)
+    out = np.take(a.data, indices, axis=axis)
+    index = (slice(None),) * axis + (indices,)
     original = a.shape
 
     def vjp(g):

@@ -152,7 +152,14 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2014) with bias correction."""
+    """Adam (Kingma & Ba, 2014) with bias correction.
+
+    One update runs over flat buffers holding every parameter's moments
+    and gradient, so a step is a dozen array passes plus one in-place
+    subtraction per parameter, whatever the parameter count.  ``_m[i]``
+    and ``_v[i]`` are views of parameter ``i``'s span of the flat
+    moments, so :meth:`state_dict` stays a per-parameter list.
+    """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.5, 0.999),
@@ -161,9 +168,49 @@ class Adam(Optimizer):
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+        self._hold_moments([np.zeros_like(p.data) for p in self.params],
+                           [np.zeros_like(p.data) for p in self.params])
+
+    def _hold_moments(self, m: list, v: list) -> None:
+        """Copy per-parameter moments into fresh flat buffers; point
+        ``_m``/``_v`` at their views and allocate the step scratch."""
+        shapes = [np.shape(p.data) for p in self.params]
+        self._sizes = [int(np.prod(shape, dtype=np.int64))
+                       for shape in shapes]
+        total = sum(self._sizes)
+        self._m_flat = np.concatenate(m, axis=None).astype(np.float64)
+        self._v_flat = np.concatenate(v, axis=None).astype(np.float64)
+        self._m = self._views(self._m_flat, shapes)
+        self._v = self._views(self._v_flat, shapes)
+        # Workspace, never state: the flat gradient, one temporary and
+        # the step (whose views are subtracted from the parameters).
+        self._g_flat = np.empty(total)
+        self._buf = np.empty(total)
+        self._step_flat = np.empty(total)
+        self._step_views = self._views(self._step_flat, shapes)
+
+    def _views(self, flat: np.ndarray, shapes) -> list[np.ndarray]:
+        views, offset = [], 0
+        for shape, size in zip(shapes, self._sizes):
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        return views
+
+    def __getstate__(self):
+        # Pickling does not keep views of one buffer, so snapshots carry
+        # the per-parameter moments alone and rebuild the flat buffers.
+        state = {key: value for key, value in self.__dict__.items()
+                 if key not in _ADAM_WORKSPACE}
+        state["_m"] = [m.copy() for m in self._m]
+        state["_v"] = [v.copy() for v in self._v]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = {key: value for key, value in state.items()
+                 if key not in _ADAM_WORKSPACE}
+        self.__dict__.update(state)
+        self._hold_moments(state["_m"], state["_v"])
 
     def state_dict(self) -> dict:
         """Full Adam state: lr, betas, eps, step count, and both moments."""
@@ -178,46 +225,51 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = (float(b) for b in state["betas"])
         self.eps = float(state["eps"])
         self._t = int(state["t"])
-        self._m = self._check_moment_list("m", state["m"])
-        self._v = self._check_moment_list("v", state["v"])
-
-    def _scratch_for(self, index: int, shape) -> np.ndarray:
-        # Lazy per-parameter scratch so step() runs allocation-free after
-        # the first call (scratch is workspace, never pickled state).
-        scratch = self.__dict__.setdefault("_scratch", {})
-        buf = scratch.get(index)
-        if buf is None or buf.shape != shape:
-            buf = scratch[index] = np.empty(shape)
-        return buf
+        m = self._check_moment_list("m", state["m"])
+        v = self._check_moment_list("v", state["v"])
+        np.concatenate(m, axis=None, out=self._m_flat)
+        np.concatenate(v, axis=None, out=self._v_flat)
 
     def step(self, grads) -> None:
         if len(grads) != len(self.params):
             raise ValueError("gradient list length mismatch")
+        arrays = [self._as_array(g) for g in grads]
+        # A None gradient leaves its parameter and moments untouched: the
+        # moment updates are masked to the parameters that have one.
+        where = True
+        if any(a is None for a in arrays):
+            where = np.repeat([a is not None for a in arrays], self._sizes)
+            arrays = [m if a is None else a
+                      for a, m in zip(arrays, self._m)]
+        g = np.concatenate(arrays, axis=None, out=self._g_flat)
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
+        m, v, buf, step = self._m_flat, self._v_flat, self._buf, \
+            self._step_flat
         # Buffered but bit-identical to the expression form
         #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         #   p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
         # every ufunc below preserves that operand order/association.
-        for idx, (p, m, v, g) in enumerate(zip(self.params, self._m,
-                                               self._v, grads)):
-            g = self._as_array(g)
-            if g is None:
-                continue
-            buf = self._scratch_for(idx, p.data.shape)
-            step_buf = self._scratch_for(-idx - 1, p.data.shape)
-            m *= self.beta1
-            np.multiply(1.0 - self.beta1, g, out=buf)
-            m += buf
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=buf)
-            np.multiply(buf, g, out=buf)
-            v += buf
-            np.divide(m, b1t, out=step_buf)
-            np.multiply(self.lr, step_buf, out=step_buf)
-            np.divide(v, b2t, out=buf)
-            np.sqrt(buf, out=buf)
-            np.add(buf, self.eps, out=buf)
-            np.divide(step_buf, buf, out=step_buf)
-            p.data -= step_buf
+        np.multiply(m, self.beta1, out=m, where=where)
+        np.multiply(1.0 - self.beta1, g, out=buf)
+        np.add(m, buf, out=m, where=where)
+        np.multiply(v, self.beta2, out=v, where=where)
+        np.multiply(1.0 - self.beta2, g, out=buf)
+        np.multiply(buf, g, out=buf)
+        np.add(v, buf, out=v, where=where)
+        np.divide(m, b1t, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(v, b2t, out=buf)
+        np.sqrt(buf, out=buf)
+        np.add(buf, self.eps, out=buf)
+        np.divide(step, buf, out=step)
+        for p, p_step, grad in zip(self.params, self._step_views, grads):
+            if grad is not None:
+                p.data -= p_step
+
+
+#: Adam attributes rebuilt from the moments rather than pickled.
+_ADAM_WORKSPACE = frozenset({"_m_flat", "_v_flat", "_g_flat", "_buf",
+                             "_step_flat", "_step_views", "_sizes",
+                             "_scratch"})

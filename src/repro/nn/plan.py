@@ -130,7 +130,7 @@ _TENSOR_OPS = {
     "add": 2, "sub": 2, "mul": 2, "div": 2, "maximum": 2, "minimum": 2,
     "matmul": 2, "neg": 1, "exp": 1, "log": 1, "tanh": 1, "relu": 1,
     "abs_": 1, "power": 1, "sum_": 1, "reshape": 1, "transpose": 1,
-    "broadcast_to": 1, "getitem": 1, "_scatter": 1,
+    "broadcast_to": 1, "getitem": 1, "take": 1, "_scatter": 1,
 }
 
 # Array-level helpers on ops (inputs/outputs are raw ndarrays).
@@ -353,6 +353,16 @@ _UNARY_UFUNCS = {
 }
 
 
+#: A pooled buffer serves a request at most this many times smaller than
+#: itself, so small requests do not take the buffers large ones need.
+_MAX_REUSE_RATIO = 4
+
+#: Workspace buffers holding :func:`kernels._lstm_seq_backward`'s
+#: results, in return order.
+_SEQ_BWD_OUTPUTS = ("dx_flat", "dh_next", "dc_next", "d_wih", "d_whh",
+                    "d_bias")
+
+
 def _static_arg(step: _Step, position: int, keyword: str, default=None):
     args, kwargs = step.static
     if len(args) > position:
@@ -445,15 +455,22 @@ class _PlanBuilder:
 
     # step builders ----------------------------------------------------------
     def _take(self, shape, dtype) -> np.ndarray:
-        free = self._pool.get((tuple(shape), np.dtype(dtype)))
-        if free:
-            return free.pop()
-        buf = np.empty(shape, dtype=dtype)
-        self.arena_bytes += buf.nbytes
-        return buf
+        """A contiguous buffer of ``shape``: a view of the smallest free
+        pooled buffer of that dtype that is large enough (and at most
+        ``_MAX_REUSE_RATIO`` times larger), or a new one."""
+        size = int(np.prod(shape, dtype=np.int64))
+        free = self._pool.setdefault(np.dtype(dtype), [])
+        fits = [i for i, flat in enumerate(free)
+                if size <= flat.size <= _MAX_REUSE_RATIO * size]
+        if fits:
+            flat = free.pop(min(fits, key=lambda i: free[i].size))
+        else:
+            flat = np.empty(size, dtype=dtype)
+            self.arena_bytes += flat.nbytes
+        return flat[:size].reshape(shape)
 
     def _give_back(self, buf: np.ndarray) -> None:
-        self._pool.setdefault((buf.shape, buf.dtype), []).append(buf)
+        self._pool[buf.dtype].append(buf.base)
 
     def _buf(self, slot: int, meta) -> np.ndarray:
         """The pooled output buffer of ``slot``."""
@@ -469,8 +486,22 @@ class _PlanBuilder:
         self._scratch_bufs.append(buf)
         return buf
 
-    def _workspace(self, ws: dict) -> dict:
-        self.arena_bytes += sum(buf.nbytes for buf in ws.values())
+    def _workspace(self, layout: dict, step: _Step, outputs: dict) -> dict:
+        """A kernel workspace for ``layout`` (name -> (shape, dtype)).
+
+        ``outputs`` maps the names that hold the step's results to their
+        output index: those are the pooled buffers of the output slots
+        (reshaped to the layout's shape).  Every other buffer is step
+        scratch, back in the pool as soon as the step is built.
+        """
+        ws = {}
+        for name, (shape, dtype) in layout.items():
+            index = outputs.get(name)
+            if index is None:
+                ws[name] = self._scratch(shape, dtype)
+            else:
+                ws[name] = self._buf(step.out_slots[index],
+                                     step.out_meta[index]).reshape(shape)
         return ws
 
     def _operand(self, ref):
@@ -604,6 +635,19 @@ class _PlanBuilder:
             arena[slot] = arena[a][index]
         return run, allocs
 
+    def _build_take(self, step):
+        _, a = self._operand(step.in_refs[0])
+        indices = _static_arg(step, 0, "indices")
+        axis = _static_arg(step, 1, "axis", -1)
+        buf = self._buf(step.out_slots[0], step.out_meta[0])
+
+        def run(arena):
+            # mode="wrap" writes straight into ``buf``; the default mode
+            # buffers the result first.  The recorded indices are in range,
+            # so the modes select the same elements.
+            np.take(arena[a], indices, axis=axis, out=buf, mode="wrap")
+        return run, 0
+
     def _build_scatter(self, step):
         _, g = self._operand(step.in_refs[0])
         index = _static_arg(step, 0, "index")
@@ -709,8 +753,12 @@ class _PlanBuilder:
         # the scan with need_cache=False and bind only h_out -- same
         # arithmetic, ~7 fewer array copies per timestep, no cache arrays.
         need_cache = any(s in self.live_slots for s in step.out_slots[1:])
-        ws = self._workspace(kernels._lstm_seq_workspace(
-            batch, steps_, in_dim, n, need_cache))
+        outputs = {"h_out": 0}
+        if need_cache:
+            outputs.update((name, index + 1)
+                           for index, name in enumerate(kernels._SEQ_CACHES))
+        ws = self._workspace(kernels._lstm_seq_layout(
+            batch, steps_, in_dim, n, need_cache), step, outputs)
         if need_cache:
             assign = self._assign_outputs(step.out_slots)
 
@@ -730,7 +778,8 @@ class _PlanBuilder:
         batch, steps_, in_dim = step.in_meta[1][0]
         n = step.in_meta[4][0][2]
         ws = self._workspace(
-            kernels._lstm_seq_bwd_workspace(batch, steps_, in_dim, n))
+            kernels._lstm_seq_bwd_layout(batch, steps_, in_dim, n), step,
+            {name: index for index, name in enumerate(_SEQ_BWD_OUTPUTS)})
         assign = self._assign_outputs(step.out_slots)
 
         def run(arena):
