@@ -102,7 +102,8 @@ class BlockActivation:
         return out
 
 
-def _group_columns(blocks: list[OutputBlock]) -> tuple[list, np.ndarray | None]:
+def _group_columns(blocks: list[OutputBlock]
+                   ) -> tuple[list, np.ndarray | None]:
     """Group block columns by activation, in order of first appearance.
 
     Returns ``(groups, inverse)``: each group is ``(kind, width, columns)``

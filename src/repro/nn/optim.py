@@ -155,10 +155,10 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba, 2014) with bias correction.
 
     One update runs over flat buffers holding every parameter's moments
-    and gradient, so a step is a dozen array passes plus one in-place
-    subtraction per parameter, whatever the parameter count.  ``_m[i]``
-    and ``_v[i]`` are views of parameter ``i``'s span of the flat
-    moments, so :meth:`state_dict` stays a per-parameter list.
+    and gradient: a step is a dozen array passes over all parameters at
+    once, then one in-place subtraction per parameter.  ``_m[i]`` and
+    ``_v[i]`` are views of parameter ``i``'s span of the flat moments,
+    so :meth:`state_dict` stays a per-parameter list.
     """
 
     def __init__(self, params: Sequence[Parameter], lr: float = 1e-3,
@@ -179,8 +179,8 @@ class Adam(Optimizer):
         self._sizes = [int(np.prod(shape, dtype=np.int64))
                        for shape in shapes]
         total = sum(self._sizes)
-        self._m_flat = np.concatenate(m, axis=None).astype(np.float64)
-        self._v_flat = np.concatenate(v, axis=None).astype(np.float64)
+        self._m_flat = np.concatenate(m, axis=None, dtype=np.float64)
+        self._v_flat = np.concatenate(v, axis=None, dtype=np.float64)
         self._m = self._views(self._m_flat, shapes)
         self._v = self._views(self._v_flat, shapes)
         # Workspace, never state: the flat gradient, one temporary and
@@ -200,11 +200,8 @@ class Adam(Optimizer):
     def __getstate__(self):
         # Pickling does not keep views of one buffer, so snapshots carry
         # the per-parameter moments alone and rebuild the flat buffers.
-        state = {key: value for key, value in self.__dict__.items()
-                 if key not in _ADAM_WORKSPACE}
-        state["_m"] = [m.copy() for m in self._m]
-        state["_v"] = [v.copy() for v in self._v]
-        return state
+        return {key: value for key, value in self.__dict__.items()
+                if key not in _ADAM_WORKSPACE}
 
     def __setstate__(self, state: dict) -> None:
         state = {key: value for key, value in state.items()

@@ -44,7 +44,8 @@ Tracing rules (what the shims record):
   them instead of snapshotting stale trace values.
 - The fused kernels record through their pure array helpers
   (``kernels._lstm_seq_forward`` ...), which accept preallocated
-  workspaces on replay.
+  workspaces on replay (laid out by ``kernels._lstm_seq_layout`` and
+  ``_lstm_seq_bwd_layout``, filled from the plan's pool).
 - Arrays not produced by any recorded step are snapshotted as constants
   (e.g. the all-ones seed gradient).  Python scalars pass through as
   literals.  Model parameters are re-read live (``p.data``) at every
@@ -58,9 +59,12 @@ Building a plan (``_PlanBuilder``):
   data, the gradient of ``mean``'s constant divisor) is computed once, in
   the trace, and never replayed.
 - **Buffer planning.**  Each kept step's output buffers come from a pool
-  keyed by ``(shape, dtype)``.  A buffer returns to the pool after the
-  last kept step that reads its slot or any view of that slot, so slots
-  whose live ranges do not overlap share storage; a step's own scratch
+  of flat buffers per dtype: a request takes the smallest free buffer
+  that holds it (and is at most ``_MAX_REUSE_RATIO`` times larger),
+  viewed in its shape.  A buffer returns to the pool after the last kept
+  step that reads its slot or any view of that slot, so slots whose
+  live ranges do not overlap share storage; a step's own scratch --
+  including the LSTM kernels' projection, gate and BPTT buffers --
   returns right after it.  Returned slots and the storage they view are
   never pooled.  The eager intermediates the trace held are released
   before the arena is allocated.
@@ -753,12 +757,10 @@ class _PlanBuilder:
         # the scan with need_cache=False and bind only h_out -- same
         # arithmetic, ~7 fewer array copies per timestep, no cache arrays.
         need_cache = any(s in self.live_slots for s in step.out_slots[1:])
-        outputs = {"h_out": 0}
-        if need_cache:
-            outputs.update((name, index + 1)
-                           for index, name in enumerate(kernels._SEQ_CACHES))
-        ws = self._workspace(kernels._lstm_seq_layout(
-            batch, steps_, in_dim, n, need_cache), step, outputs)
+        outputs = ("h_out",) + (kernels._SEQ_CACHES if need_cache else ())
+        ws = self._workspace(
+            kernels._lstm_seq_layout(batch, steps_, in_dim, n, need_cache),
+            step, {name: index for index, name in enumerate(outputs)})
         if need_cache:
             assign = self._assign_outputs(step.out_slots)
 

@@ -54,5 +54,90 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
 
 def canonical_json(value) -> str:
     """``value`` as canonical JSON: sorted keys, two-space indent, and a
-    trailing newline, so equal documents are equal bytes."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    trailing newline, so equal documents are equal bytes.
+
+    The bytes are ``json.dumps(value, sort_keys=True, indent=2) + "\n"``.
+    With an indent, :mod:`json` runs its pure-Python encoder, whose
+    mutually recursive closures leave reference cycles behind on every
+    call; this plain recursion builds the same text and leaves none.
+    """
+    parts: list[str] = []
+    _encode(value, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _float_text(value: float) -> str:
+    # json's float spelling (allow_nan=True).
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _encode(value, parts: list, newline: str) -> None:
+    """Append ``value``'s JSON to ``parts``; ``newline`` is a line break
+    plus the indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(_encode_string(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _encode(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(separator)
+            parts.append(_encode_string(_key_text(key)))
+            parts.append(": ")
+            _encode(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+_INFINITY = float("inf")
+_encode_string = json.encoder.encode_basestring_ascii

@@ -75,17 +75,15 @@ def test_compiled_step_allocates_nothing(runs):
 def test_step_op_and_alloc_counts_are_pinned(runs):
     """Per-iteration engine ops and allocations; equal on every host and
     BLAS thread count.  The op-composed layers recorded 11596 ops and
-    9035 allocations for the same iteration; activating output blocks
-    one at a time took 851 / 660 eager and 762 compiled."""
+    9035 allocations for the same iteration."""
     assert (runs["fused"]["ops"], runs["fused"]["allocs"]) == (664, 508)
     assert (runs["compiled"]["ops"], runs["compiled"]["allocs"]) == (564, 0)
 
 
 def test_plan_arena_bytes_are_pinned(runs):
     """Bytes each compiled step plan preallocates: pooled buffers (slot
-    outputs and LSTM scratch alike) and constant snapshots.  Before
-    buffer planning each traced slot had a buffer of its own: 14162464
-    (d), 18762888 (g) and 557616 (w) bytes; with exact-shape pooling and
-    plan-lifetime LSTM workspaces, 6811168, 10650592 and 385320."""
+    outputs and LSTM kernel scratch alike) and constant snapshots.
+    Before buffer planning each traced slot had a buffer of its own:
+    14162464 (d), 18762888 (g) and 557616 (w) bytes."""
     assert runs["compiled"]["arena_bytes"] == {
         "d_plan": 4327696, "g_plan": 7625624, "w_plan": 385320}

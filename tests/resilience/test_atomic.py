@@ -1,11 +1,15 @@
-"""The atomic-write primitive: commit on rename, never a torn file."""
+"""The atomic-write primitive: commit on rename, never a torn file; and
+``canonical_json``, the bytes of ``json.dumps(sort_keys=True, indent=2)``
+plus a newline, with no reference cycles left behind."""
 
+import gc
+import json
 import os
 
 import pytest
 
 from repro.resilience import atomic, faults
-from repro.resilience.atomic import atomic_open, write_atomic
+from repro.resilience.atomic import atomic_open, canonical_json, write_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -70,3 +74,65 @@ def test_kill_at_fault_site_keeps_old_file(tmp_path):
                 h.write(b"new")
     assert path.read_bytes() == b"old"
     assert (tmp_path / "state.npz.tmp").read_bytes() == b"new"
+
+
+# -- canonical_json ------------------------------------------------------
+
+CORPUS = [
+    {},
+    [],
+    (),
+    None,
+    True,
+    False,
+    0,
+    -7,
+    2 ** 70,
+    1e-7,
+    1e16,
+    -0.0,
+    0.1 + 0.2,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    "",
+    "plain",
+    "café ☃ \U0001f600 \"quoted\" back\\slash\ttab\nnewline\x00",
+    {"b": [1, 2.5, {"z": None, "a": []}], "a": {}, "é": "ü"},
+    [[], [[]], {}, [{}], {"k": {}}],
+    {"nested": {"deeper": {"deepest": [1, [2, [3, (4, 5)]]]}}},
+    {"flags": [True, False, None], "nums": [1e-7, 1e16, 1e300, -1.5e-300]},
+    {"10": 1, "9": 2, "a": 3, "B": 4},
+    {2: "two", 10: "ten", 1: "one"},
+    {1.5: "x", 0.25: "y", float("inf"): "z"},
+    {"report": {"sections": [{"name": "acf", "mse": 0.0012,
+                              "skipped": False}], "version": 3}},
+]
+
+
+@pytest.mark.parametrize("value", CORPUS, ids=lambda v: repr(v)[:40])
+def test_bytes_match_json_dumps(value):
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(value).encode("utf-8") == expected.encode("utf-8")
+
+
+def test_unsupported_values_raise_like_json():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        canonical_json({"a": object()})
+    with pytest.raises(TypeError, match="keys must be"):
+        canonical_json({(1, 2): "tuple key"})
+
+
+def test_a_call_leaves_no_cyclic_garbage():
+    document = {"metrics": [{"name": f"m{i}", "value": i * 0.5,
+                             "tags": {"unit": "ms", "ok": True}}
+                            for i in range(20)], "empty": [], "none": None}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        canonical_json(document)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
