@@ -67,49 +67,36 @@ def canonical_json(value) -> str:
     return "".join(parts)
 
 
-def _float_text(value: float) -> str:
-    # json's float spelling (allow_nan=True).
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
+def _scalar_text(value) -> str | None:
+    """JSON text of a str, None, bool, int or float (json's spellings,
+    ``allow_nan=True``); None for anything else."""
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
         return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
 
 
 def _encode(value, parts: list, newline: str) -> None:
     """Append ``value``'s JSON to ``parts``; ``newline`` is a line break
     plus the indent of the line ``value`` starts on."""
-    if isinstance(value, str):
-        parts.append(_encode_string(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_float_text(value))
+    text = _scalar_text(value)
+    if text is not None:
+        parts.append(text)
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
@@ -128,8 +115,12 @@ def _encode(value, parts: list, newline: str) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
+            key_text = key if isinstance(key, str) else _scalar_text(key)
+            if key_text is None:
+                raise TypeError(f"keys must be str, int, float, bool or "
+                                f"None, not {key.__class__.__name__}")
             parts.append(separator)
-            parts.append(_encode_string(_key_text(key)))
+            parts.append(_encode_string(key_text))
             parts.append(": ")
             _encode(item, parts, inner)
             separator = "," + inner

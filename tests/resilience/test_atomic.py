@@ -105,6 +105,8 @@ CORPUS = [
     {"10": 1, "9": 2, "a": 3, "B": 4},
     {2: "two", 10: "ten", 1: "one"},
     {1.5: "x", 0.25: "y", float("inf"): "z"},
+    {True: "bool key"},
+    {None: "null key"},
     {"report": {"sections": [{"name": "acf", "mse": 0.0012,
                               "skipped": False}], "version": 3}},
 ]
