@@ -8,8 +8,8 @@ directory, flushed and fsynced, then renamed over ``path``, so a crash
 leaves either the old file or the new one, never a torn mix.  A write
 that raises leaves its ``.tmp`` behind and ``path`` untouched.
 
-The parent directory is not fsynced after the rename, so a power loss
-can still roll the rename back (the old file stays whole).
+The parent directory is fsynced after the rename, so once the call
+returns the new name survives a power loss too.
 
 :func:`canonical_json` is the one spelling of the JSON documents those
 files hold: sorted keys, two-space indent, trailing newline.
@@ -44,12 +44,24 @@ def atomic_open(path: str | os.PathLike, mode: str = "wb", *,
     if fault_site is not None:
         faults.fire(fault_site)
     os.replace(tmp, path)
+    _fsync_directory(os.path.dirname(path) or ".")
 
 
-def write_atomic(path: str | os.PathLike, data: bytes) -> None:
-    """Atomically replace ``path``'s contents with ``data``."""
-    with atomic_open(path) as handle:
+def write_atomic(path: str | os.PathLike, data: bytes, *,
+                 fault_site: str | None = None) -> None:
+    """Atomically replace ``path``'s contents with ``data`` (``fault_site``
+    as for :func:`atomic_open`)."""
+    with atomic_open(path, fault_site=fault_site) as handle:
         handle.write(data)
+
+
+def _fsync_directory(directory: str) -> None:
+    """Make a rename inside ``directory`` durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def canonical_json(value) -> str:

@@ -5,6 +5,7 @@ plus a newline, with no reference cycles left behind."""
 import gc
 import json
 import os
+import stat
 
 import pytest
 
@@ -37,8 +38,16 @@ def test_text_mode_streams_into_the_file(tmp_path):
 
 def test_flush_fsync_fault_rename_order(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(atomic.os, "fsync",
-                        lambda fd: calls.append("fsync"))
+
+    def record_fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            assert os.path.samestat(info, os.stat(tmp_path))
+            calls.append("fsync-dir")
+        else:
+            calls.append("fsync")
+
+    monkeypatch.setattr(atomic.os, "fsync", record_fsync)
     real_replace = os.replace
     monkeypatch.setattr(atomic.os, "replace", lambda src, dst: (
         calls.append(("replace", os.path.basename(src),
@@ -48,9 +57,9 @@ def test_flush_fsync_fault_rename_order(tmp_path, monkeypatch):
     write_atomic(tmp_path / "plain", b"x")
     with atomic_open(tmp_path / "state.npz", fault_site="site") as handle:
         handle.write(b"y")
-    assert calls == ["fsync", ("replace", "plain.tmp", "plain"),
+    assert calls == ["fsync", ("replace", "plain.tmp", "plain"), "fsync-dir",
                      "fsync", ("fire", "site"),
-                     ("replace", "state.npz.tmp", "state.npz")]
+                     ("replace", "state.npz.tmp", "state.npz"), "fsync-dir"]
 
 
 def test_failed_write_leaves_tmp_and_old_file(tmp_path):
