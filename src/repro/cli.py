@@ -47,7 +47,6 @@ import argparse
 import json
 import os
 import sys
-import zipfile
 
 import numpy as np
 
@@ -82,8 +81,7 @@ def _load_dataset(path: str) -> TimeSeriesDataset:
     except FileNotFoundError:
         raise _CliError(f"dataset file {path!r} does not exist; create "
                         f"one with 'simulate' or 'generate'") from None
-    except (OSError, EOFError, ValueError, KeyError,
-            zipfile.BadZipFile) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read dataset {path!r}: the file is not "
                         f"a dataset archive or is corrupted "
                         f"({exc})") from None
@@ -102,8 +100,7 @@ def _load_model(path: str):
     except FileNotFoundError:
         raise _CliError(f"cannot load model {path!r}: the file does not "
                         f"exist; train one with 'train' first") from None
-    except (OSError, EOFError, ValueError, KeyError,
-            zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise _CliError(f"cannot load model {path!r}: {exc}") from None
 
 

@@ -16,13 +16,14 @@ generation flags of §4.1.1) is done by :mod:`repro.data.encoding`.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.schema import DataSchema, schema_from_dict, schema_to_dict
+from repro.npz import read_npz, write_npz
 
 __all__ = ["TimeSeriesDataset", "generation_flags", "padding_mask"]
 
@@ -112,32 +113,50 @@ class TimeSeriesDataset:
         names = [f.name for f in self.schema.features]
         return self.features[:, :, names.index(name)]
 
+    def to_bytes(self) -> bytes:
+        """The dataset (arrays + schema) as npz archive bytes."""
+        return write_npz({"__schema__": _schema_json(self.schema),
+                          "attributes": self.attributes,
+                          "features": self.features,
+                          "lengths": self.lengths})
+
+    @classmethod
+    def from_bytes(cls, blob) -> "TimeSeriesDataset":
+        """Inverse of :meth:`to_bytes`; raises ValueError for bytes that
+        are not a dataset archive."""
+        arrays = read_npz(blob)
+        try:
+            return cls(schema=_schema_from_json(arrays["__schema__"].tobytes()),
+                       attributes=arrays["attributes"],
+                       features=arrays["features"],
+                       lengths=arrays["lengths"])
+        except KeyError as exc:
+            raise ValueError(f"not a dataset archive: no {exc} entry") from None
+        except (TypeError, IndexError, AttributeError) as exc:
+            raise ValueError(f"not a dataset archive ({exc})") from None
+
     def save(self, path) -> None:
-        """Persist the dataset (arrays + schema) as an npz archive.
+        """Persist the dataset as :meth:`to_bytes` archive bytes.
 
         ``path`` is written exactly as given (no ``.npz`` is appended)
         and atomically; a writable binary handle is written in place.
         """
-        # Imported lazily: repro.resilience imports the nn stack.
-        from repro.resilience.atomic import atomic_open
-
-        meta = json.dumps(schema_to_dict(self.schema)).encode("utf-8")
-        target = (contextlib.nullcontext(path) if hasattr(path, "write")
-                  else atomic_open(path))
-        with target as handle:
-            np.savez(handle, __schema__=np.frombuffer(meta, dtype=np.uint8),
-                     attributes=self.attributes, features=self.features,
-                     lengths=self.lengths)
+        blob = self.to_bytes()
+        if hasattr(path, "write"):
+            path.write(blob)
+        else:
+            # Imported lazily: repro.resilience imports the nn stack.
+            from repro.resilience.atomic import write_atomic
+            write_atomic(path, blob)
 
     @classmethod
     def load(cls, path) -> "TimeSeriesDataset":
-        """Restore a dataset saved by :meth:`save`."""
-        with np.load(path) as archive:
-            schema = schema_from_dict(json.loads(
-                bytes(archive["__schema__"].tobytes()).decode("utf-8")))
-            return cls(schema=schema, attributes=archive["attributes"],
-                       features=archive["features"],
-                       lengths=archive["lengths"])
+        """Restore a dataset saved by :meth:`save` (a path or a readable
+        binary handle)."""
+        if hasattr(path, "read"):
+            return cls.from_bytes(path.read())
+        with open(path, "rb") as handle:
+            return cls.from_bytes(handle.read())
 
     def concat(self, other: "TimeSeriesDataset") -> "TimeSeriesDataset":
         if other.schema is not self.schema and other.schema != self.schema:
@@ -148,6 +167,24 @@ class TimeSeriesDataset:
             features=np.concatenate([self.features, other.features]),
             lengths=np.concatenate([self.lengths, other.lengths]),
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _schema_json(schema: DataSchema) -> np.ndarray:
+    """The ``__schema__`` entry of a dataset archive: the schema's JSON
+    as a read-only uint8 array (schemas are frozen, so it is memoised)."""
+    return np.frombuffer(json.dumps(schema_to_dict(schema)).encode("utf-8"),
+                         dtype=np.uint8)
+
+
+@functools.lru_cache(maxsize=64)
+def _schema_from_json(raw: bytes) -> DataSchema:
+    """Inverse of :func:`_schema_json` (memoised by the JSON bytes)."""
+    try:
+        return schema_from_dict(json.loads(raw.decode("utf-8")))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"dataset archive has a malformed schema "
+                         f"({exc!r})") from None
 
 
 _FINITE = "values must be finite"

@@ -1,5 +1,9 @@
 """npz building blocks: in-memory archives, atomic writes, training state.
 
+Every archive here is encoded and decoded by :mod:`repro.npz`, which
+writes the bytes ``np.savez`` would and reads them strictly: a damaged,
+compressed or pickled archive raises :class:`ValueError`.
+
 Model archives -- the "release model parameters" step of the paper's
 workflow (Figure 2) -- have one format for every backend, written and read
 only by :mod:`repro.backends.archive`; it encodes them with
@@ -15,15 +19,14 @@ a truncated checkpoint behind -- the previous checkpoint survives intact.
 
 from __future__ import annotations
 
-import io
 import json
 import os
-import zipfile
 
 import numpy as np
 
 from repro.nn.layers import Module
 from repro.nn.optim import Optimizer
+from repro.npz import read_npz, write_npz
 
 __all__ = ["save_npz_atomic", "arrays_to_bytes", "bytes_to_arrays",
            "save_training_state", "load_training_state", "TrainingState"]
@@ -35,30 +38,24 @@ _STATE_VERSION = 1
 # -- in-memory archives ------------------------------------------------------
 
 def arrays_to_bytes(arrays: dict) -> bytes:
-    """Serialize named arrays to ``.npz`` bytes (no filesystem touch).
-
-    Used to ship model state across process boundaries -- e.g. handing a
-    trained generator to the sharded-generation workers of
-    :mod:`repro.parallel.generation` -- without a temp file per worker.
-    """
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
+    """Serialize named arrays to ``.npz`` bytes (no filesystem touch)."""
+    return write_npz(arrays)
 
 
 def bytes_to_arrays(blob: bytes, names=None) -> dict:
     """Inverse of :func:`arrays_to_bytes`; raises ValueError on corruption.
 
-    With ``names``, only those entries (where present) are decoded.
+    With ``names``, only those entries (where present) are returned.
     """
     try:
-        with np.load(io.BytesIO(blob)) as archive:
-            return {name: archive[name] for name in archive.files
-                    if names is None or name in names}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        arrays = read_npz(blob)
+    except ValueError as exc:
         raise ValueError(
             f"cannot decode npz archive: the bytes are missing, corrupted, "
             f"or truncated ({exc})") from exc
+    if names is None:
+        return arrays
+    return {name: arrays[name] for name in arrays if name in names}
 
 
 # -- atomic writes -----------------------------------------------------------
@@ -66,17 +63,18 @@ def bytes_to_arrays(blob: bytes, names=None) -> dict:
 def save_npz_atomic(path: str | os.PathLike, arrays: dict) -> None:
     """Write an ``.npz`` archive atomically (temp file + rename).
 
-    The archive is first written to ``<path>.tmp`` in the same directory,
-    flushed and fsynced, then moved over ``path`` with :func:`os.replace`.
-    A crash at any point leaves either the old file or the new file --
-    never a truncated mix.  The ``serialization.pre_rename`` fault site
-    (see :mod:`repro.resilience.faults`) fires between write and rename so
+    The archive is written to ``<path>.tmp`` in the same directory,
+    flushed and fsynced, then moved over ``path`` with :func:`os.replace`
+    (see :func:`repro.resilience.atomic.atomic_open`).  A crash at any
+    point leaves either the old file or the new file -- never a truncated
+    mix.  The ``serialization.pre_rename`` fault site (see
+    :mod:`repro.resilience.faults`) fires between write and rename so
     tests can prove that property.
     """
     # Imported lazily: repro.resilience.checkpoint imports this module.
-    from repro.resilience.atomic import atomic_open
-    with atomic_open(path, fault_site="serialization.pre_rename") as handle:
-        np.savez(handle, **arrays)
+    from repro.resilience.atomic import write_atomic
+    write_atomic(path, write_npz(arrays),
+                 fault_site="serialization.pre_rename")
 
 
 # -- full training state -----------------------------------------------------
@@ -150,10 +148,9 @@ def load_training_state(path: str | os.PathLike) -> TrainingState:
     """
     path = os.fspath(path)
     try:
-        with np.load(path) as archive:
-            raw = {name: archive[name] for name in archive.files}
-    except (OSError, EOFError, ValueError, KeyError,
-            zipfile.BadZipFile) as exc:
+        with open(path, "rb") as handle:
+            raw = read_npz(handle.read())
+    except (OSError, ValueError) as exc:
         raise ValueError(
             f"cannot read training state {path!r}: the file is missing, "
             f"corrupted, or truncated ({exc})") from exc

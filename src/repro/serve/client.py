@@ -19,7 +19,6 @@ binding its port.
 
 from __future__ import annotations
 
-import io
 import socket
 
 from repro.data.dataset import TimeSeriesDataset
@@ -70,9 +69,7 @@ def _dataset_bytes(dataset) -> bytes:
     if isinstance(dataset, str):
         with open(dataset, "rb") as handle:
             return handle.read()
-    buffer = io.BytesIO()
-    dataset.save(buffer)
-    return buffer.getvalue()
+    return dataset.to_bytes()
 
 
 class _ClientOps:

@@ -43,7 +43,6 @@ their stages through :func:`observe_stages`.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import threading
@@ -220,16 +219,14 @@ def observe_stages(prefix: str, request: float | None = None,
 
 def dataset_to_bytes(dataset: TimeSeriesDataset) -> bytes:
     """Serialize a dataset to npz bytes (the generate-response payload)."""
-    buffer = io.BytesIO()
-    dataset.save(buffer)
-    return buffer.getvalue()
+    return dataset.to_bytes()
 
 
 def dataset_from_bytes(blob: bytes) -> TimeSeriesDataset:
     """Inverse of :func:`dataset_to_bytes`."""
     try:
-        return TimeSeriesDataset.load(io.BytesIO(blob))
-    except (OSError, EOFError, ValueError, KeyError) as exc:
+        return TimeSeriesDataset.from_bytes(blob)
+    except ValueError as exc:
         raise ProtocolError(
             f"response payload does not decode as a dataset "
             f"({exc})") from exc
