@@ -48,8 +48,9 @@ def _external(spec, values):
     return values
 
 
-def _clamp_to_spec(spec, values: np.ndarray) -> np.ndarray:
-    """Clamp decoded raw values to the spec's declared range.
+def _clamp_bounds(spec) -> tuple[float, float]:
+    """The range decoded raw values of ``spec`` are clamped to, with
+    ``-inf``/``inf`` where a bound is absent.
 
     The generator's continuous outputs are only softly bounded, so decoded
     values can leave the declared [low, high] range -- for log-transformed
@@ -57,14 +58,16 @@ def _clamp_to_spec(spec, values: np.ndarray) -> np.ndarray:
     log-transformed field is clamped at 0 even without a declared low,
     because ``log1p`` encoding already floored raw values there.
     """
-    low = spec.low
+    low = -np.inf if spec.low is None else spec.low
     if getattr(spec, "log_transform", False):
-        low = 0.0 if low is None else max(low, 0.0)
-    if low is not None:
-        values = np.maximum(values, low)
-    if spec.high is not None:
-        values = np.minimum(values, spec.high)
-    return values
+        low = max(low, 0.0)
+    return low, np.inf if spec.high is None else spec.high
+
+
+def _clamp_to_spec(spec, values: np.ndarray) -> np.ndarray:
+    """Clamp decoded raw values to :func:`_clamp_bounds`."""
+    low, high = _clamp_bounds(spec)
+    return np.minimum(np.maximum(values, low), high)
 
 
 @dataclass
@@ -334,42 +337,63 @@ class DataEncoder:
                                         self._attr_high[spec.name])))
 
         feat_out = np.zeros((n, tmax, len(self.schema.features)))
-        mm_index = 0
+        columns, offsets, specs = [], [], []
         offset = 0
         for j, spec in enumerate(self.schema.features):
-            block = features[:, :, offset:offset + spec.dimension]
-            offset += spec.dimension
             if spec.is_categorical:
-                feat_out[:, :, j] = block.argmax(axis=2)
-                continue
-            low = self._feat_low[spec.name]
-            high = self._feat_high[spec.name]
-            unit = block[:, :, 0]
-            if self.target_range == "minus_one_one":
-                unit = (unit + 1.0) / 2.0
-            if self.auto_normalize:
-                half_sum = self._unscale(minmax[:, mm_index], low, high)
-                half_range = minmax[:, mm_index + 1]
-                if self.target_range == "minus_one_one":
-                    half_range = (half_range + 1.0) / 2.0
-                half_range = np.clip(half_range, 0.0, 1.0) * (high - low) / 2.0
-                mm_index += 2
-                smin = half_sum - half_range
-                smax = half_sum + half_range
-                span = smax - smin
-                values = smin[:, None] + unit * span[:, None]
-                # Degenerate (constant-series) samples: a half-range below
-                # the epsilon guard carries no scale information, so the
-                # per-step unit values would only amplify generator noise.
-                # Collapse such samples exactly onto their midpoint.
-                degenerate = span < _RANGE_EPS
-                if degenerate.any():
-                    values = np.where(degenerate[:, None],
-                                      half_sum[:, None], values)
+                feat_out[:, :, j] = features[
+                    :, :, offset:offset + spec.dimension].argmax(axis=2)
             else:
-                values = low + unit * (high - low)
-            feat_out[:, :, j] = _clamp_to_spec(spec,
-                                               _external(spec, values)) * mask
+                columns.append(j)
+                offsets.append(offset)
+                specs.append(spec)
+            offset += spec.dimension
+        if specs:
+            feat_out[:, :, columns] = self._inverse_continuous(
+                specs, features[:, :, offsets], minmax) * mask[:, :, None]
+        return TimeSeriesDataset(schema=self.schema, attributes=attr_out,
+                                 features=feat_out, lengths=lengths)
+
+    def _inverse_continuous(self, specs: list, unit: np.ndarray,
+                            minmax: np.ndarray) -> np.ndarray:
+        """Raw values of every continuous feature at once.
+
+        ``unit`` is (n, T, K), the generator's output channel of each of
+        the K continuous ``specs``; each element sees the operations the
+        per-feature decoder applies, in the same order.
+        """
+        low = np.array([self._feat_low[spec.name] for spec in specs])
+        high = np.array([self._feat_high[spec.name] for spec in specs])
+        width = high - low
+        if self.target_range == "minus_one_one":
+            unit = (unit + 1.0) / 2.0
+        if self.auto_normalize:
+            # (half-sum, half-range) pairs, in continuous-feature order.
+            half_sum = self._unscale(minmax[:, 0::2], low, high)
+            half_range = minmax[:, 1::2]
+            if self.target_range == "minus_one_one":
+                half_range = (half_range + 1.0) / 2.0
+            half_range = np.clip(half_range, 0.0, 1.0) * width / 2.0
+            smin = half_sum - half_range
+            smax = half_sum + half_range
+            span = smax - smin
+            values = smin[:, None, :] + unit * span[:, None, :]
+            # Degenerate (constant-series) samples: a half-range below
+            # the epsilon guard carries no scale information, so the
+            # per-step unit values would only amplify generator noise.
+            # Collapse such samples exactly onto their midpoint.
+            degenerate = span < _RANGE_EPS
+            if degenerate.any():
+                values = np.where(degenerate[:, None, :],
+                                  half_sum[:, None, :], values)
+        else:
+            values = low + unit * width
+        logs = [k for k, spec in enumerate(specs)
+                if getattr(spec, "log_transform", False)]
+        if logs:
+            values[:, :, logs] = np.expm1(values[:, :, logs])
+        bounds = np.array([_clamp_bounds(spec) for spec in specs])
+        return np.minimum(np.maximum(values, bounds[:, 0]), bounds[:, 1])
 
         return TimeSeriesDataset(schema=self.schema, attributes=attr_out,
                                  features=feat_out, lengths=lengths)
