@@ -5,9 +5,11 @@ but a structured error frame or a dropped connection.
 The corpus is derived deterministically from a seeded rng plus
 systematic mutations of one known-good frame (every truncation point,
 oversized length prefixes, bad magic/version, junk JSON), so failures
-reproduce exactly.
+reproduce exactly.  A second corpus mutates the npz payload of a
+``submit``: each hostile dataset archive gets ``bad_request``.
 """
 
+import io
 import json
 import socket
 import struct
@@ -15,9 +17,14 @@ import struct
 import numpy as np
 import pytest
 
+from repro.data.dataset import TimeSeriesDataset
+from repro.data.schema import schema_to_dict
+from repro.data.simulators import generate_gcut
+from repro.npz import write_npz
 from repro.serve import (Fleet, GenerationService, ModelRegistry,
                          ServeClient, Server)
 from repro.serve import protocol
+from repro.serve.jobs import JobStore, JobSupervisor
 
 _PREFIX = struct.Struct(">4sBIQ")
 
@@ -157,3 +164,83 @@ def test_interleaved_garbage_does_not_poison_other_connections(
                 assert client.ping()
         finally:
             bad.close()
+
+
+def _payload_corpus() -> list[tuple[str, bytes]]:
+    """Deterministic hostile ``submit`` payloads: broken archives and
+    well-formed archives that do not hold a dataset."""
+    data = generate_gcut(2, np.random.default_rng(0), max_length=4)
+    good = data.to_bytes()
+    arrays = {"attributes": data.attributes, "features": data.features,
+              "lengths": data.lengths}
+    schema = np.frombuffer(json.dumps(schema_to_dict(data.schema)).encode(),
+                           np.uint8)
+
+    def archive(**changes) -> bytes:
+        return write_npz({"__schema__": schema, **arrays, **changes})
+
+    corpus = [(f"truncated-at-{cut}", good[:cut])
+              for cut in range(0, len(good), 97)]
+    for offset in range(0, len(good), 53):
+        flipped = bytearray(good)
+        flipped[offset] ^= 0xFF
+        try:
+            TimeSeriesDataset.from_bytes(bytes(flipped))
+        except ValueError:
+            corpus.append((f"flipped-at-{offset}", bytes(flipped)))
+    compressed = io.BytesIO()
+    np.savez_compressed(compressed, __schema__=schema, **arrays)
+    pickled = io.BytesIO()
+    np.savez(pickled, __schema__=np.array([{"x": 1}], dtype=object),
+             **arrays)
+    renamed = bytearray(archive(extra=np.zeros(2)))
+    for at in (i for i in range(len(renamed))
+               if renamed[i:i + 9] == b"extra.npy"):
+        renamed[at:at + 9] = b"lengths.n"
+    corpus += [
+        ("compressed", compressed.getvalue()),
+        ("object-dtype", pickled.getvalue()),
+        ("duplicate-names", bytes(renamed)),
+        ("no-schema", write_npz(arrays)),
+        ("schema-not-json", archive(
+            __schema__=np.frombuffer(b"not json", np.uint8))),
+        ("schema-a-list", archive(
+            __schema__=np.frombuffer(b"[1, 2]", np.uint8))),
+        ("schema-missing-keys", archive(
+            __schema__=np.frombuffer(b'{"attributes": []}', np.uint8))),
+        ("features-1d", archive(features=data.features.reshape(-1))),
+        ("text-attributes", archive(attributes=np.array([["a", "b"]] * 2))),
+        ("lengths-out-of-range", archive(lengths=np.array([0, 9]))),
+        ("noise", np.random.default_rng(1).integers(
+            0, 256, 600, dtype=np.uint8).tobytes()),
+    ]
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def jobs_server(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-jobs")
+    service = GenerationService({})
+    # Never started: a hostile payload must be refused before a job is.
+    service.attach_jobs(JobSupervisor(JobStore(root / "jobs"),
+                                      root / "registry"))
+    server = Server(service)
+    yield server.address
+    server.shutdown(drain=True)
+
+
+def test_hostile_submit_payloads_get_bad_request(jobs_server):
+    header = {"op": "submit", "name": "fuzz", "backend": "hmm"}
+    for name, payload in _payload_corpus():
+        with socket.create_connection(jobs_server, timeout=10) as sock:
+            sock.settimeout(10)
+            wfile = sock.makefile("wb")
+            rfile = sock.makefile("rb")
+            protocol.write_message(wfile, header, payload)
+            wfile.flush()
+            response, _ = protocol.read_message(rfile)
+        assert response["status"] == "error", name
+        assert response["code"] == protocol.ERR_BAD_REQUEST, (name,
+                                                               response)
+    with ServeClient(*jobs_server, timeout=10) as client:
+        assert client.ping()
