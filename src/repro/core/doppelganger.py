@@ -372,7 +372,7 @@ class DoppelGANger:
         """Restore a model saved by :meth:`save`.
 
         Missing, truncated, or non-model files raise a clear
-        :class:`ValueError` instead of a bare OS or zipfile error.
+        :class:`ValueError` instead of a bare OS error.
         """
         try:
             with open(path, "rb") as handle:

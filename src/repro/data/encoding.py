@@ -395,9 +395,6 @@ class DataEncoder:
         bounds = np.array([_clamp_bounds(spec) for spec in specs])
         return np.minimum(np.maximum(values, bounds[:, 0]), bounds[:, 1])
 
-        return TimeSeriesDataset(schema=self.schema, attributes=attr_out,
-                                 features=feat_out, lengths=lengths)
-
 
 def _one_hot(indices: np.ndarray, dimension: int) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
