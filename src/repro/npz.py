@@ -31,6 +31,7 @@ import functools
 import io
 import math
 import struct
+import tokenize
 import zlib
 
 import numpy as np
@@ -233,10 +234,9 @@ def _end_record(view: memoryview) -> tuple[int, int, int]:
 
 
 def _member_name(filename: bytes, flags: int) -> str:
-    if not flags & _UTF8_NAME:
-        return filename.decode("cp437")
+    """zipfile's reading of a member name: flagged UTF-8, else cp437."""
     try:
-        return filename.decode("utf-8")
+        return filename.decode("utf-8" if flags & _UTF8_NAME else "cp437")
     except UnicodeDecodeError:
         raise ValueError(f"npz member name {filename!r} is not the UTF-8 "
                          f"its flags claim") from None
@@ -297,9 +297,10 @@ def _parse_header(header: bytes) -> tuple[tuple, bool, np.dtype]:
         read = (npy_format.read_array_header_1_0 if version == (1, 0)
                 else npy_format.read_array_header_2_0)
         shape, fortran_order, dtype = read(stream)
-    except ValueError:
-        raise
-    except Exception as exc:  # numpy's parser on hostile text
+    except (SyntaxError, TypeError, RecursionError, MemoryError,
+            tokenize.TokenError) as exc:
+        # Hostile text numpy's literal parser gives up on; a parser stack
+        # overflow is a MemoryError, not a large allocation.
         raise ValueError(f"cannot parse .npy header ({exc!r})") from None
     if dtype.hasobject:
         raise ValueError("npz archives holding object arrays are not read")

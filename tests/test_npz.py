@@ -258,6 +258,8 @@ def test_header_over_numpy_size_limit_is_refused():
     "{'descr': 'zz', 'fortran_order': False, 'shape': (1,), }\n",
     "{'descr': '|V0', 'fortran_order': False, 'shape': (10,), }\n",
     "{'descr': '<f8', 'fortran_order': False, 'shape': " + "(" * 300 + "\n",
+    "'''\n",
+    "-" * 9000 + "1\n",
 ])
 def test_malformed_npy_headers_raise_value_error(header):
     with pytest.raises(ValueError):
