@@ -132,7 +132,7 @@ class TimeSeriesDataset:
                        lengths=arrays["lengths"])
         except KeyError as exc:
             raise ValueError(f"not a dataset archive: no {exc} entry") from None
-        except (TypeError, IndexError, AttributeError) as exc:
+        except (TypeError, IndexError) as exc:
             raise ValueError(f"not a dataset archive ({exc})") from None
 
     def save(self, path) -> None:
@@ -182,7 +182,7 @@ def _schema_from_json(raw: bytes) -> DataSchema:
     """Inverse of :func:`_schema_json` (memoised by the JSON bytes)."""
     try:
         return schema_from_dict(json.loads(raw.decode("utf-8")))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"dataset archive has a malformed schema "
                          f"({exc!r})") from None
 

@@ -38,7 +38,12 @@ _STATE_VERSION = 1
 # -- in-memory archives ------------------------------------------------------
 
 def arrays_to_bytes(arrays: dict) -> bytes:
-    """Serialize named arrays to ``.npz`` bytes (no filesystem touch)."""
+    """Serialize named arrays to ``.npz`` bytes (no filesystem touch).
+
+    Used to ship model state across process boundaries -- e.g. handing a
+    trained generator to the sharded-generation workers of
+    :mod:`repro.parallel.generation` -- without a temp file per worker.
+    """
     return write_npz(arrays)
 
 

@@ -222,7 +222,8 @@ def _end_record(view: memoryview) -> tuple[int, int, int]:
      central_start, comment_length) = _END.unpack_from(view, at)
     if comment_length:
         raise ValueError("npz archive comments are not read")
-    if count == 0xFFFF or 0xFFFFFFFF in (central_size, central_start):
+    if count == _MAX_MEMBERS or 0xFFFFFFFF in (central_size,
+                                               central_start):
         raise ValueError("zip64 npz archives (over 65535 members or "
                          "2 GiB) are not read")
     if disk or central_disk or disk_count != count:
