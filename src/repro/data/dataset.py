@@ -126,12 +126,13 @@ class TimeSeriesDataset:
         are not a dataset archive."""
         arrays = read_npz(blob)
         try:
-            return cls(schema=_schema_from_json(arrays["__schema__"].tobytes()),
-                       attributes=arrays["attributes"],
+            schema = _schema_from_json(arrays["__schema__"].tobytes())
+            return cls(schema=schema, attributes=arrays["attributes"],
                        features=arrays["features"],
                        lengths=arrays["lengths"])
         except KeyError as exc:
-            raise ValueError(f"not a dataset archive: no {exc} entry") from None
+            raise ValueError(
+                f"not a dataset archive: no {exc} entry") from None
         except (TypeError, IndexError) as exc:
             raise ValueError(f"not a dataset archive ({exc})") from None
 

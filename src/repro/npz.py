@@ -67,7 +67,7 @@ _NPY_MAGIC = npy_format.MAGIC_PREFIX
 _HEADER_CACHE_SIZE = 1024
 
 
-# -- writer --------------------------------------------------------------------
+# -- writer -------------------------------------------------------------------
 
 def write_npz(arrays: dict) -> bytes:
     """The ``np.savez(file, **arrays)`` bytes, built in memory.
@@ -146,7 +146,7 @@ def _raw_bytes(array: np.ndarray, fortran: bool):
     return array.reshape(-1).view(np.uint8)
 
 
-# -- reader --------------------------------------------------------------------
+# -- reader -------------------------------------------------------------------
 
 def read_npz(blob) -> dict:
     """Decode ``.npz`` bytes into ``{name: array}``, in archive order.

@@ -67,7 +67,7 @@ def _assert_same_as_np_load(decoded: dict, blob: bytes) -> None:
             assert got.flags.writeable and got.flags.aligned, name
 
 
-# -- writer: np.savez bytes ----------------------------------------------------
+# -- writer: np.savez bytes ---------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_each_array_writes_np_savez_bytes(name):
@@ -90,7 +90,7 @@ def test_writer_refuses_what_numpy_would_pickle_or_rename():
         write_npz({"a\0b": np.zeros(2)})
 
 
-# -- reader: np.load's arrays ------------------------------------------------
+# -- reader: np.load's arrays -------------------------------------------------
 
 def test_reader_matches_np_load_on_the_corpus():
     blob = _savez(**CORPUS)
@@ -108,7 +108,7 @@ def test_returned_arrays_are_fresh_aligned_and_writable():
     assert read_npz(memoryview(blob))["a"][1, 2] == 5.0
 
 
-# -- reader: hostile bytes -----------------------------------------------------
+# -- reader: hostile bytes ----------------------------------------------------
 
 def _sample_archive() -> bytes:
     return write_npz({"meta": np.frombuffer(b'{"k": 1}', dtype=np.uint8),
@@ -303,7 +303,7 @@ def test_central_directory_crc_is_checked():
         read_npz(bytes(blob))
 
 
-# -- reference cycles ----------------------------------------------------------
+# -- reference cycles ---------------------------------------------------------
 
 def _leaves_no_cyclic_garbage(call) -> bool:
     """True when ``call()`` (after one warm-up call) leaves nothing for
