@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.losses import critic_loss_and_estimate, generator_loss
 from repro.nn import Adam, Tensor, grad, no_grad, ops
-from repro.nn import profiler as nn_profiler
 from repro.nn.optim import clip_grad_norm, grad_norm
 from repro.nn.plan import PlanFunction
 from repro.observability import events as obs_events
@@ -106,8 +105,6 @@ class TrainingHistory:
     g_loss: list[float] = field(default_factory=list)
     wasserstein: list[float] = field(default_factory=list)
     max_points: int | None = 4096
-    # Per-op {"calls", "seconds"} table, populated by train(profile=True).
-    op_profile: dict | None = None
 
     # Sentinel / resilience counters (survive rollbacks and resumes).
     nan_events: int = 0
@@ -236,8 +233,7 @@ class AdversarialLoop:
 
     # -- the loop ----------------------------------------------------------
     def train(self, data, iterations: int, *, log_every: int = 50,
-              callback=None, profile: bool = False,
-              options: FitOptions | None = None,
+              callback=None, options: FitOptions | None = None,
               history: TrainingHistory | None = None,
               start: int = 0) -> TrainingHistory:
         """Run the alternation up to iteration ``iterations``.
@@ -248,9 +244,8 @@ class AdversarialLoop:
         ``options.resume_from`` is set.  A model's fit passes the
         ``history`` it owns (bounded by ``options.history_window``).
         The history and ``callback(iteration, history)`` see every
-        ``log_every``-th iteration and the last one.  With
-        ``profile=True`` the op-level profiler runs for the whole loop
-        and its per-op stats are stored on ``history.op_profile``.
+        ``log_every``-th iteration and the last one.  To profile the
+        loop's ops, run it inside :func:`repro.nn.profile`.
 
         When an observability event log is installed
         (:func:`repro.observability.capture`), the loop emits
@@ -286,16 +281,8 @@ class AdversarialLoop:
             "seed": int(self.seed),
             "sentinel": sentinel is not None,
         })
-        args = (data, iterations, log_every, callback, history, start,
-                options, sentinel)
-        if profile:
-            with nn_profiler.profile() as prof:
-                self._loop(*args)
-            history.op_profile = prof.stats()
-            if obs_events.enabled():
-                prof.publish(obs_events.emit)
-        else:
-            self._loop(*args)
+        self._loop(data, iterations, log_every, callback, history, start,
+                   options, sentinel)
         bad = ckpt.nonfinite_parameter(self)
         if bad is not None:
             raise TrainingDiverged(

@@ -108,8 +108,7 @@ class DoppelGANger:
     # -- training ------------------------------------------------------------
     def fit(self, dataset: TimeSeriesDataset,
             iterations: int | None = None, log_every: int = 50,
-            callback=None, checkpoint_path=None,
-            keep_best_by=None, *, train_state_path=None,
+            callback=None, *, train_state_path=None,
             checkpoint_every: int | None = None, resume_from=None,
             sentinel=None,
             history_window: int | None = None) -> TrainingHistory:
@@ -119,24 +118,19 @@ class DoppelGANger:
             dataset: Training data matching the model schema.
             iterations: Override the configured iteration count.
             log_every: History/callback cadence (in iterations).
-            callback: Optional ``callback(iteration, history)``.
-            checkpoint_path: If given, the full model is saved here at
-                every logging point (and at the end), so long CPU runs can
-                be inspected or resumed via :meth:`load`.
-            keep_best_by: Optional scoring function
-                ``f(model) -> float`` (lower is better) evaluated at each
-                logging point; on completion the generator weights of the
-                best-scoring snapshot are restored.  GAN sample quality is
-                not monotone in training time (the paper's Figure 33), so
-                selecting the best snapshot by a fidelity metric -- e.g.
-                autocorrelation MSE against the training data -- is often
-                better than taking the final iterate.
+            callback: Optional ``callback(iteration, history)``, called at
+                every logging point.  To keep the best snapshot by some
+                score (GAN sample quality is not monotone in training
+                time, the paper's Figure 33), score the model here and
+                keep the generators' ``state_dict()``; restore the best
+                with ``load_state_dict`` after fit.
             train_state_path, checkpoint_every, resume_from, sentinel,
             history_window: The adversarial loop's resilience switches
                 (:class:`~repro.core.adversarial.FitOptions`, where
-                ``train_state_path`` is its ``checkpoint_path``).  Unlike
-                ``checkpoint_path``, resuming from ``train_state_path``
-                continues training bit-identically (docs/robustness.md).
+                ``train_state_path`` is its ``checkpoint_path``).
+                Resuming from ``train_state_path`` continues training
+                bit-identically (docs/robustness.md); save the trained
+                model with :meth:`save`.
         """
         options = FitOptions(
             checkpoint_path=train_state_path,
@@ -148,45 +142,11 @@ class DoppelGANger:
         if not self._built:
             self._build()
         encoded = self.encoder.transform(dataset)
-
-        best = {"score": np.inf, "state": None}
-
-        def wrapped(iteration, history):
-            if callback is not None:
-                callback(iteration, history)
-            if keep_best_by is not None:
-                score = float(keep_best_by(self))
-                if score < best["score"]:
-                    best["score"] = score
-                    best["state"] = {
-                        name: module.state_dict()
-                        for name, module in self._generator_modules().items()
-                    }
-            if checkpoint_path is not None:
-                self.save(checkpoint_path)
-
-        use_wrapper = (callback is not None or keep_best_by is not None
-                       or checkpoint_path is not None)
         # Set before training so a failure report can read how far it got.
         self.history = TrainingHistory.windowed(history_window)
-        self.trainer.train(
+        return self.trainer.train(
             encoded, iterations=iterations, log_every=log_every,
-            callback=wrapped if use_wrapper else None, options=options,
-            history=self.history)
-        if best["state"] is not None:
-            for name, module in self._generator_modules().items():
-                module.load_state_dict(best["state"][name])
-        if checkpoint_path is not None:
-            self.save(checkpoint_path)
-        return self.history
-
-    def _generator_modules(self) -> dict:
-        modules = {"feature_generator": self.feature_generator}
-        if self.encoder.attribute_dim:
-            modules["attribute_generator"] = self.attribute_generator
-        if self.encoder.minmax_dim:
-            modules["minmax_generator"] = self.minmax_generator
-        return modules
+            callback=callback, options=options, history=self.history)
 
     # -- generation --------------------------------------------------------------
     def generate(self, n: int, rng: np.random.Generator | None = None,

@@ -7,24 +7,27 @@ are LRU-bounded (:func:`configure_cache`) so long sweeps cannot grow memory
 without limit.  Benchmarks print the same rows/series the paper reports via
 :func:`print_table`.
 
-Failure isolation: a model that diverges or raises during ``fit`` is turned
-into a structured :class:`~repro.resilience.failures.FailureRecord` (see
-:func:`run_sweep` / :func:`get_failures`), so one bad model cannot abort a
-multi-model comparison.
+Failure isolation: a model that diverges or raises while it is built or
+fit is turned into a structured
+:class:`~repro.resilience.failures.FailureRecord`, recorded once in
+:func:`get_failures`, so one bad model cannot abort a multi-model
+comparison.  :func:`run_sweep` runs every sweep, serial or parallel, through
+the cell layer of :mod:`repro.parallel.sweep`.  To see where a fit spends
+its time, wrap it in ``with repro.nn.profile() as prof:`` and print
+``prof.summary()``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.experiments.configs import BENCH, BenchScale, make_dataset
-from repro.nn import profiler as nn_profiler
 from repro.resilience.failures import FailureRecord
 from repro.resilience.faults import SimulatedKill
 
@@ -167,42 +170,53 @@ def get_model(dataset_name: str, model_name: str, scale: BenchScale = BENCH,
     the scale's training seed for any model type (used by multi-seed
     sweeps).  A custom ``train_data`` is keyed by its content
     fingerprint, so two equal datasets share a cache entry regardless of
-    object identity.
+    object identity.  A failure is added to :func:`get_failures` and
+    re-raised.
+    """
+    return train_model(_FAILURES.append, dataset_name, model_name, scale,
+                       train_data=train_data, cache_tag=cache_tag,
+                       seed=seed, **config_overrides)
+
+
+def train_model(on_failure, dataset_name: str, model_name: str,
+                scale: BenchScale = BENCH, train_data=None,
+                cache_tag: str = "", seed: int | None = None,
+                **config_overrides):
+    """:func:`get_model` with the failure record handed to the caller.
+
+    Any exception raised while the model is built or fit (other than a
+    :class:`~repro.resilience.faults.SimulatedKill`) first passes its
+    :class:`FailureRecord` to ``on_failure`` and then propagates.  The
+    sweep's cells use this so that the parent process records each
+    failure exactly once, wherever the cell ran.
     """
     from repro.backends import get_backend
     from repro.parallel.cache import dataset_fingerprint
 
-    backend = get_backend(model_name)
-    key = (dataset_name, backend.name, scale, cache_tag, seed,
-           tuple(sorted(config_overrides.items())),
-           dataset_fingerprint(train_data) if train_data is not None
-           else None)
-    if key in _MODELS:
-        return _MODELS[key]
-    data = train_data if train_data is not None else get_dataset(
-        dataset_name, scale)
-    model = _build_model(dataset_name, model_name, scale, data.schema,
-                         seed=seed, **config_overrides)
     # monotonic: wall-clock adjustments must not produce negative elapsed
     # (matches serve/batcher.py timing).
-    started = time.monotonic()
+    model, started = None, time.monotonic()
     try:
-        # REPRO_PROFILE=1 prints the op-level hot list of every run.
-        if os.environ.get("REPRO_PROFILE"):
-            with nn_profiler.profile() as prof:
-                model.fit(data)
-            print(f"[harness] op profile for {model_name} on "
-                  f"{dataset_name}:\n{prof.summary(top=12)}",
-                  file=sys.stderr)
-        else:
-            model.fit(data)
+        backend = get_backend(model_name)
+        key = (dataset_name, backend.name, scale, cache_tag, seed,
+               tuple(sorted(config_overrides.items())),
+               dataset_fingerprint(train_data) if train_data is not None
+               else None)
+        if key in _MODELS:
+            return _MODELS[key]
+        data = train_data if train_data is not None else get_dataset(
+            dataset_name, scale)
+        model = _build_model(dataset_name, model_name, scale, data.schema,
+                             seed=seed, **config_overrides)
+        started = time.monotonic()
+        model.fit(data)
     except SimulatedKill:
         raise
     except Exception as exc:
         record = FailureRecord.from_exception(
             dataset_name, model_name, exc, model=model,
             elapsed=time.monotonic() - started)
-        _FAILURES.append(record)
+        on_failure(record)
         print(f"[harness] FAILED {MODEL_NAMES.get(model_name, model_name)} "
               f"on {dataset_name}: {record.exception_type}: "
               f"{record.message}", file=sys.stderr)
@@ -241,7 +255,12 @@ class SweepResult:
 def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
                      cache_dir, isolate: bool,
                      telemetry=None) -> SweepResult:
-    """Execute built cells through the parallel layer into a SweepResult."""
+    """Execute built cells through the parallel layer into a SweepResult.
+
+    Every cell trains before a failure is acted on.  Each failure is
+    added to :func:`get_failures` once; with ``isolate=False`` the first
+    one in cell order then raises.
+    """
     from repro.parallel.sweep import run_cells
 
     result = SweepResult()
@@ -249,17 +268,36 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
                          cache_dir=cache_dir, telemetry=telemetry)
     for outcome in outcomes:
         result.timings[outcome.label] = outcome.timing
-        if outcome.failure is not None:
-            if not isolate:
-                raise RuntimeError(
-                    f"sweep cell {outcome.label} failed: "
-                    f"{outcome.failure.exception_type}: "
-                    f"{outcome.failure.message}")
-            result.failures.append(outcome.failure)
-            _FAILURES.append(outcome.failure)
-        else:
+        if outcome.failure is None:
             result.models[outcome.label] = outcome.model
+            continue
+        _FAILURES.append(outcome.failure)
+        if not isolate:
+            raise RuntimeError(
+                f"sweep cell {outcome.label} failed: "
+                f"{outcome.failure.exception_type}: "
+                f"{outcome.failure.message}")
+        result.failures.append(outcome.failure)
     return result
+
+
+@contextmanager
+def _telemetry_scope(root, cells, workers: int, **start):
+    """Scope a sweep in a telemetry run at ``root`` (none for ``None``).
+
+    Yields the ``(root, run_id)`` spec the cells write their streams
+    under; on a clean exit the run merges them into its canonical
+    exports.
+    """
+    if root is None:
+        yield None
+        return
+    from repro.observability import TelemetryRun, emit
+
+    with TelemetryRun(root, run_id="sweep") as run:
+        emit("sweep.start", start, volatile={"workers": workers})
+        yield run.root, run.run_id
+    run.finalize(cell_labels=[c.label for c in cells])
 
 
 def _score_sweep(result: SweepResult, scale: BenchScale,
@@ -294,16 +332,21 @@ def run_sweep(dataset_names, model_names, scale: BenchScale = BENCH,
               **config_overrides) -> SweepResult:
     """Train every (dataset, model[, seed]) cell, isolating failures.
 
-    With ``isolate=True`` (the default) a model whose ``fit`` raises is
-    recorded as a :class:`FailureRecord` and the sweep continues with the
-    remaining cells; the failures are printed as a summary table at the
-    end instead of aborting with a traceback.  ``isolate=False`` restores
-    fail-fast behaviour (serial in-process sweeps only).
+    Every sweep runs its cells through :func:`repro.parallel.sweep.
+    run_cells`, whatever the worker count.  With ``isolate=True`` (the
+    default) a model whose build or ``fit`` raises is recorded as a
+    :class:`FailureRecord` and the sweep continues with the remaining
+    cells; the failures are printed as a summary table at the end
+    instead of aborting with a traceback.  With ``isolate=False`` every
+    cell still trains, and then the sweep raises ``RuntimeError("sweep
+    cell <label> failed: <type>: <message>")`` for the first failed
+    cell.  Either way each failure is added to :func:`get_failures` once.
 
     Args:
         workers: Worker subprocesses to farm cells to.  ``workers=1`` runs
-            in-process; any worker count produces bit-identical models
-            (see docs/architecture.md, "Parallel execution").
+            every cell inline, sharing this process's model and dataset
+            caches; any worker count produces bit-identical models (see
+            docs/architecture.md, "Parallel execution").
         seeds: ``None`` for one cell per pair at the scale's seed; an int
             ``k`` for k replicas with decorrelated spawned seeds; or an
             explicit list of training seeds.  Multi-seed cells are keyed
@@ -316,83 +359,31 @@ def run_sweep(dataset_names, model_names, scale: BenchScale = BENCH,
             trained cell with a quality report, computed in the parent
             so it is worker-count invariant; sweep reports then rank
             cells by overall score (see render_sweep_report).
-        telemetry: Optional directory for a telemetry run.  Workers write
+        telemetry: Optional directory for a telemetry run.  Cells write
             per-cell event/metric files and the parent merges them into
             ``events.jsonl`` / ``metrics.json`` / ``report.md`` -- all
             deterministic and worker-count invariant (see
-            docs/observability.md).  Forces the cell execution path so
-            serial and parallel sweeps log identically; note that cells
-            already memoised in this process's harness cache skip
-            training (and its events), so start from a fresh process or
-            :func:`clear_cache` for byte-comparable logs.
+            docs/observability.md).  Cells already memoised in this
+            process's harness cache skip training (and its events), so
+            start from a fresh process or :func:`clear_cache` for
+            byte-comparable logs.
     """
-    from repro.parallel.sweep import build_cells, run_cells
+    from repro.observability import emit
+    from repro.parallel.sweep import build_cells
 
-    if telemetry is not None:
-        from repro.observability import TelemetryRun, emit
-
-        with TelemetryRun(telemetry, run_id="sweep") as run:
-            emit("sweep.start", {
-                "datasets": list(dataset_names),
-                "models": list(model_names),
-                "seeds": None if seeds is None
-                else int(seeds) if isinstance(seeds, (int, np.integer))
-                else [int(s) for s in seeds],
-                "cached": cache_dir is not None,
-            }, volatile={"workers": workers})
-            cells = build_cells(dataset_names, model_names, seeds,
-                                scale.seed)
-            result = _run_sweep_cells(
-                cells, scale, config_overrides, workers, cache_dir,
-                isolate, telemetry=(run.root, run.run_id))
+    cells = build_cells(dataset_names, model_names, seeds, scale.seed)
+    with _telemetry_scope(
+            telemetry, cells, workers, datasets=list(dataset_names),
+            models=list(model_names),
+            seeds=None if seeds is None
+            else int(seeds) if isinstance(seeds, (int, np.integer))
+            else [int(s) for s in seeds],
+            cached=cache_dir is not None) as spec:
+        result = _run_sweep_cells(cells, scale, config_overrides, workers,
+                                  cache_dir, isolate, telemetry=spec)
+        if spec is not None:
             emit("sweep.finish", {"trained": len(result.models),
                                   "failed": len(result.failures)})
-        run.finalize(cell_labels=[c.label for c in cells])
-        if quality:
-            _score_sweep(result, scale, quality)
-        if verbose and result.failures:
-            print_table(
-                "Sweep failures",
-                ["dataset", "model", "exception", "iteration", "retries",
-                 "message"],
-                [f.row() for f in result.failures])
-        return result
-
-    result = SweepResult()
-    use_cells = workers > 1 or seeds is not None or cache_dir is not None
-    if not use_cells:
-        # In-process fast path: shares this process's model/dataset caches.
-        for dataset_name in dataset_names:
-            for model_name in model_names:
-                wall0, cpu0 = time.perf_counter(), time.process_time()
-                failed = False
-                try:
-                    result.models[(dataset_name, model_name)] = get_model(
-                        dataset_name, model_name, scale, **config_overrides)
-                except (KeyboardInterrupt, SimulatedKill):
-                    raise
-                except Exception as exc:
-                    if not isolate:
-                        raise
-                    failed = True
-                    if _FAILURES and _FAILURES[-1].dataset == dataset_name \
-                            and _FAILURES[-1].model == model_name:
-                        record = _FAILURES[-1]
-                    else:
-                        # Failure before fit() (dataset build, bad config).
-                        record = FailureRecord.from_exception(
-                            dataset_name, model_name, exc)
-                        _FAILURES.append(record)
-                    result.failures.append(record)
-                from repro.parallel.sweep import CellTiming
-                result.timings[(dataset_name, model_name)] = CellTiming(
-                    wall=time.perf_counter() - wall0,
-                    cpu=time.process_time() - cpu0,
-                    failed=failed, pid=os.getpid())
-    else:
-        cells = build_cells(dataset_names, model_names, seeds, scale.seed)
-        result = _run_sweep_cells(cells, scale, config_overrides, workers,
-                                  cache_dir, isolate)
     if quality:
         _score_sweep(result, scale, quality)
     if verbose and result.failures:

@@ -12,9 +12,10 @@ Determinism contract:
   replica), and per-cell training seeds are derived by
   ``np.random.SeedSequence(base_seed).spawn(n_cells)`` -- decorrelated
   streams that do not depend on which worker runs which cell;
-- each worker trains through the exact same
-  :func:`repro.experiments.harness.get_model` code path the serial sweep
-  uses, so ``workers=1`` and ``workers=N`` produce bit-identical models;
+- every cell trains through :func:`repro.experiments.harness.train_model`
+  (the code path behind ``get_model``), inline for ``workers=1`` or in a
+  worker otherwise, so ``workers=1`` and ``workers=N`` produce
+  bit-identical models;
 - results are reassembled in cell order, never completion order.
 
 Failures cross the process boundary as pickling-safe
@@ -155,29 +156,27 @@ def _cell_config(cell: SweepCell, scale, config_overrides: dict) -> dict:
 
 
 def _run_cell(payload) -> CellOutcome:
-    """Worker entry point: train one cell, catching failures structurally."""
+    """Worker entry point: train one cell, catching failures structurally.
+
+    The failure record is handed back in the outcome, never added to this
+    process's failure list: the parent records it once, whether the cell
+    ran inline or in a worker.
+    """
     cell, scale, config_overrides, telemetry = payload
     from repro.experiments import harness
-    from repro.resilience.faults import SimulatedKill
 
     if telemetry is not None:
         return _run_cell_with_telemetry(cell, scale, config_overrides,
                                         telemetry)
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    model, failure = None, None
+    model = failure = None
+    records = []
     try:
-        model = harness.get_model(cell.dataset, cell.model, scale,
-                                  seed=cell.seed, **config_overrides)
-    except (KeyboardInterrupt, SimulatedKill):
-        raise
-    except Exception as exc:
-        records = harness.get_failures()
-        if records and records[-1].dataset == cell.dataset \
-                and records[-1].model == cell.model:
-            failure = records[-1]
-        else:
-            failure = FailureRecord.from_exception(cell.dataset, cell.model,
-                                                   exc)
+        model = harness.train_model(records.append, cell.dataset,
+                                    cell.model, scale, seed=cell.seed,
+                                    **config_overrides)
+    except Exception:
+        (failure,) = records  # handed over by train_model as it raised
     timing = CellTiming(wall=time.perf_counter() - wall0,
                         cpu=time.process_time() - cpu0,
                         failed=failure is not None, pid=os.getpid())

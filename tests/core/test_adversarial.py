@@ -108,12 +108,23 @@ def test_mlp_gans_emit_train_telemetry(name, data, tmp_path):
     assert kinds[-1] == "train.finish"
 
 
-@pytest.mark.parametrize("name", ["dlgan", "naive_gan"])
+@pytest.mark.parametrize("name", GANS)
 def test_mlp_gans_honour_the_history_window(name, data):
+    # DoppelGANger's backend translates FitOptions into fit keywords by
+    # hand, so it is checked here too.  A window of one trims every GAN's
+    # trace, even DoppelGANger's two points at its default log_every.
     backend, model = _model(name, data)
-    backend.fit(model, data, FitOptions(history_window=2))
-    assert model.history.iterations == [_last_step(name) - 1,
-                                        _last_step(name)]
+    backend.fit(model, data, FitOptions(history_window=1))
+    assert model.history.iterations == [_last_step(name)]
+
+
+@pytest.mark.parametrize("name", GANS)
+def test_sentinel_option_rolls_back_one_injected_nan(name, data):
+    backend, model = _model(name, data)
+    with faults.injected(faults.nan_at("trainer.critic_loss", step=3)):
+        backend.fit(model, data, FitOptions(sentinel=True))
+    assert model.history.rollbacks == 1
+    assert model.history.nan_events == 1
 
 
 @pytest.mark.parametrize("name", ["hmm", "ar", "rnn"])

@@ -151,54 +151,6 @@ class TestGeneratorRegularisation:
         assert len(syn) == 8
 
 
-class TestCheckpointingAndSnapshotSelection:
-    def test_checkpoint_written_and_loadable(self, tiny_gcut, tmp_path):
-        path = tmp_path / "ckpt.npz"
-        model = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=6))
-        model.fit(tiny_gcut, log_every=2, checkpoint_path=path)
-        assert path.exists()
-        resumed = DoppelGANger.load(path)
-        a = model.generate(4, rng=np.random.default_rng(1))
-        b = resumed.generate(4, rng=np.random.default_rng(1))
-        assert np.allclose(a.features, b.features)
-
-    def test_keep_best_by_restores_best_snapshot(self, tiny_gcut):
-        """With a score that prefers the FIRST evaluation, the final
-        generator must equal the first-snapshot generator."""
-        model = DoppelGANger(tiny_gcut.schema,
-                             tiny_dg_config(iterations=8, seed=11))
-        captured = {}
-        calls = {"n": 0}
-
-        def score(m):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                captured["state"] = m.feature_generator.state_dict()
-                return 0.0   # best
-            return 1.0       # never better again
-
-        model.fit(tiny_gcut, log_every=2, keep_best_by=score)
-        assert calls["n"] >= 2
-        final = model.feature_generator.state_dict()
-        for key in final:
-            assert np.array_equal(final[key], captured["state"][key])
-
-    def test_keep_best_by_fidelity_metric(self, tiny_gcut):
-        """A realistic selector: length-distribution W1 on samples."""
-        from repro.metrics import wasserstein1
-
-        def score(m):
-            syn = m.generate(20, rng=np.random.default_rng(0))
-            return wasserstein1(tiny_gcut.lengths.astype(float),
-                                syn.lengths.astype(float))
-
-        model = DoppelGANger(tiny_gcut.schema,
-                             tiny_dg_config(iterations=6, seed=12))
-        model.fit(tiny_gcut, log_every=3, keep_best_by=score)
-        syn = model.generate(5, rng=np.random.default_rng(2))
-        assert len(syn) == 5
-
-
 class TestPersistenceWithDP:
     def test_dp_config_survives_save_load(self, tiny_gcut, tmp_path):
         from repro.core.config import DPTrainingConfig

@@ -51,16 +51,13 @@ class TestOpProfiler:
         assert lines[2].startswith("fast_op")
         assert prof.summary(top=1).count("\n") == 1
 
-    def test_trainer_profile_option(self, tiny_gcut):
+    def test_profiled_fit_records_lstm_sequence(self, tiny_gcut):
         from repro.core import DoppelGANger
         from tests.conftest import tiny_dg_config
         model = DoppelGANger(tiny_gcut.schema, tiny_dg_config(iterations=2))
-        history = model.fit(tiny_gcut)
-        assert history.op_profile is None
-        history = model.trainer.train(
-            model.encoder.transform(tiny_gcut), iterations=2, profile=True)
-        assert history.op_profile
-        assert "lstm_sequence" in history.op_profile
+        with profiler.profile() as prof:
+            model.fit(tiny_gcut)
+        assert prof.stats()["lstm_sequence"]["calls"] > 0
 
 
 class TestStatsOrdering:

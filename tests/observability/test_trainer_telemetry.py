@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import DoppelGANger
+from repro.nn import profile
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.observability.events import EventLog
@@ -93,8 +94,9 @@ class TestTrainingEvents:
         encoded = model.encoder.transform(tiny_gcut)
         with EventLog(tmp_path / "log.jsonl") as log, \
                 obs_events.capture(log):
-            model.trainer.train(encoded, iterations=2, log_every=1,
-                                profile=True)
+            with profile() as prof:
+                model.trainer.train(encoded, iterations=2, log_every=1)
+            prof.publish(log.emit)
         ops = [e for e in log.events if e.kind == "profile.op"]
         assert ops, "profiled op spans should be published as events"
         names = [e.payload["op"] for e in ops]

@@ -100,6 +100,45 @@ class TestFailurePropagation:
             run_sweep(["gcut"], ["no_such_model"], scale=TINY, workers=2,
                       isolate=False, verbose=False)
 
+    @pytest.mark.parametrize("models, options", [
+        (["hmm"], {}),
+        (["hmm"], {"seeds": [0]}),
+        (["hmm"], {"workers": 2}),          # one cell runs inline
+        (["hmm", "ar"], {"workers": 2}),    # two cells, two workers
+    ], ids=["default", "seed-list", "workers2-one-cell",
+            "workers2-two-cells"])
+    def test_each_failure_is_recorded_once(self, models, options,
+                                           monkeypatch):
+        from unittest import mock
+        from repro.baselines import HMMBaseline
+        from repro.experiments.harness import get_failures
+
+        # Forked workers inherit the patched fit.
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        monkeypatch.setattr(HMMBaseline, "fit",
+                            mock.Mock(side_effect=RuntimeError("boom")))
+        result = run_sweep(["gcut"], models, scale=TINY, verbose=False,
+                           **options)
+        assert len(result.models) == len(models) - 1
+        assert [f.message for f in result.failures] == ["boom"]
+        assert get_failures() == result.failures
+
+    def test_isolate_false_trains_every_cell_then_raises(self, monkeypatch):
+        from unittest import mock
+        from repro.baselines import HMMBaseline
+        from repro.experiments import harness
+
+        monkeypatch.setattr(HMMBaseline, "fit",
+                            mock.Mock(side_effect=RuntimeError("boom")))
+        with pytest.raises(RuntimeError, match=(
+                r"^sweep cell \('gcut', 'hmm'\) failed: "
+                r"RuntimeError: boom$")):
+            run_sweep(["gcut"], ["hmm", "ar"], scale=TINY, isolate=False,
+                      verbose=False)
+        # The cell after the failed one trained before the sweep raised.
+        assert [key[1] for key in harness._MODELS.keys()] == ["ar"]
+        assert [f.model for f in harness.get_failures()] == ["hmm"]
+
 
 class TestCacheIntegration:
     def test_second_sweep_hits_cache_with_identical_models(self, tmp_path):
@@ -136,7 +175,7 @@ class TestCacheIntegration:
 
 
 class TestTimings:
-    def test_serial_fast_path_records_timings(self):
+    def test_inline_sweep_records_timings(self):
         result = run_sweep(["gcut"], ["hmm"], scale=TINY, verbose=False)
         timing = result.timings[("gcut", "hmm")]
         assert timing.wall >= 0 and timing.cpu >= 0 and not timing.failed
