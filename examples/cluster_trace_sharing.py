@@ -10,6 +10,7 @@ experiment).
 Usage:  python examples/cluster_trace_sharing.py
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -38,13 +39,14 @@ def main():
     holder_model = DoppelGANger(private_data.schema, config)
     holder_model.fit(split.train_real)
 
-    released = tempfile.NamedTemporaryFile(suffix=".npz", delete=False)
-    holder_model.save(released.name)
-    print(f"[holder]   trained on {len(split.train_real)} private tasks; "
-          f"released parameters to {released.name}")
+    with tempfile.TemporaryDirectory() as release_dir:
+        released = os.path.join(release_dir, "gcut_model.npz")
+        holder_model.save(released)
+        print(f"[holder]   trained on {len(split.train_real)} private "
+              f"tasks; released parameters to {released}")
 
-    # ---------------- data consumer side ----------------
-    consumer_model = DoppelGANger.load(released.name)
+        # ---------------- data consumer side ----------------
+        consumer_model = DoppelGANger.load(released)
     synthetic = consumer_model.generate(len(split.train_real),
                                         rng=np.random.default_rng(1))
     print(f"[consumer] generated {len(synthetic)} synthetic tasks "

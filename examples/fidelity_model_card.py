@@ -9,6 +9,9 @@ split, and writes the report as a markdown model card.
 Usage:  python examples/fidelity_model_card.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from repro import DGConfig, DoppelGANger
@@ -43,10 +46,11 @@ def main():
     card = report.render_markdown(title="GCUT DoppelGANger model card")
     print(card)
 
-    path = "/tmp/doppelganger_model_card.md"
-    with open(path, "w") as handle:
-        handle.write(card)
-    print(f"\nmodel card written to {path}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "doppelganger_model_card.md")
+        with open(path, "w") as handle:
+            handle.write(card)
+        print(f"\nmodel card written to {path} (removed on exit)")
     scores = report.property_scores()
     flags = [name for name in ("diversity", "memorization")
              if scores.get(name, 1.0) < RED_FLAG]

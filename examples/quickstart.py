@@ -7,6 +7,9 @@ measurements, each tagged with an end event type).
 Usage:  python examples/quickstart.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from repro import DGConfig, DoppelGANger
@@ -58,8 +61,11 @@ def main():
 
     # 5. Persist the model -- this parameter file is what a data holder
     #    would actually release (Figure 2 of the paper).
-    model.save("/tmp/doppelganger_quickstart.npz")
-    print("model saved to /tmp/doppelganger_quickstart.npz")
+    with tempfile.TemporaryDirectory() as out_dir:
+        path = os.path.join(out_dir, "doppelganger_quickstart.npz")
+        model.save(path)
+        print(f"model saved to {path} ({os.path.getsize(path)} bytes; "
+              f"removed on exit)")
 
 
 if __name__ == "__main__":

@@ -180,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replicas per cell with spawned seeds "
                             "(default: one cell at the scale's seed)")
     sweep.add_argument("--cache-dir", default=None,
-                       help="on-disk result cache; repeated sweeps skip "
-                            "finished cells")
+                       help="on-disk result cache of model archives "
+                            "(<key>.npz); repeated sweeps skip finished "
+                            "cells")
     sweep.add_argument("--report", default=None,
                        help="write the deterministic sweep report "
                             "(digests + failures) to this markdown file")

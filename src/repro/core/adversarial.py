@@ -159,8 +159,6 @@ class AdversarialLoop:
 
     #: Critic updates per generator update.
     discriminator_steps = 1
-    #: Attribute names of the lazily built step plans (not picklable).
-    _PLANS = ("_d_plan", "_g_plan", "_w_plan")
 
     def __init__(self, modules: dict, generator_params: list,
                  discriminator_params: list, rng: np.random.Generator, *,
@@ -212,15 +210,6 @@ class AdversarialLoop:
                 name=attr.strip("_"))
             self.__dict__[attr] = plan
         return plan
-
-    def __getstate__(self):
-        # Plans hold closures, locks, and preallocated arenas -- not
-        # picklable and cheap to re-trace.  Dropping them keeps loop
-        # snapshots (SweepCache, sharded generation) working.
-        state = self.__dict__.copy()
-        for key in self._PLANS:
-            state.pop(key, None)
-        return state
 
     def _apply(self, optimizer, grads, clip_norm: float | None = None):
         """Clip, apply one optimizer update; returns the applied gradient

@@ -242,14 +242,6 @@ class DoppelGANger:
             self.__dict__[attr] = plan
         return plan
 
-    def __getstate__(self):
-        # Generation plans hold locks/arenas; sharded generation pickles
-        # the model, so drop them (workers re-trace on first block).
-        state = self.__dict__.copy()
-        for key in ("_gen_plan_uncond", "_gen_plan_cond"):
-            state.pop(key, None)
-        return state
-
     def _uncond_block_fn(self, z_a, z_m, z_f):
         with no_grad():
             return self.trainer.generate_batch(

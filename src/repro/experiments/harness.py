@@ -234,7 +234,9 @@ class SweepResult:
     """Outcome of :func:`run_sweep`: models, isolated failures, timings.
 
     ``models`` maps ``(dataset, model)`` -- or ``(dataset, model, seed)``
-    for multi-seed sweeps -- to the trained model; ``timings`` maps the
+    for multi-seed sweeps -- to the trained model, decoded from its model
+    archive (so ``generate`` without an ``rng`` starts from the model's
+    configured seed, as a registry-loaded model does); ``timings`` maps the
     same keys to :class:`~repro.parallel.sweep.CellTiming` records
     measured where each cell ran (worker or parent process).
     ``quality`` (filled when ``run_sweep(quality=...)``) maps the same
@@ -259,8 +261,11 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
 
     Every cell trains before a failure is acted on.  Each failure is
     added to :func:`get_failures` once; with ``isolate=False`` the first
-    one in cell order then raises.
+    one in cell order then raises.  Each model is decoded from the
+    archive bytes its cell returned, whether it trained inline, in a
+    worker or came from the cache.
     """
+    from repro.backends import read_model
     from repro.parallel.sweep import run_cells
 
     result = SweepResult()
@@ -269,7 +274,7 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
     for outcome in outcomes:
         result.timings[outcome.label] = outcome.timing
         if outcome.failure is None:
-            result.models[outcome.label] = outcome.model
+            result.models[outcome.label] = read_model(outcome.blob)[0]
             continue
         _FAILURES.append(outcome.failure)
         if not isolate:

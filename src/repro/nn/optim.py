@@ -169,18 +169,12 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._t = 0
-        self._hold_moments([np.zeros_like(p.data) for p in self.params],
-                           [np.zeros_like(p.data) for p in self.params])
-
-    def _hold_moments(self, m: list, v: list) -> None:
-        """Copy per-parameter moments into fresh flat buffers; point
-        ``_m``/``_v`` at their views and allocate the step scratch."""
         shapes = [np.shape(p.data) for p in self.params]
         self._sizes = [int(np.prod(shape, dtype=np.int64))
                        for shape in shapes]
         total = sum(self._sizes)
-        self._m_flat = np.concatenate(m, axis=None, dtype=np.float64)
-        self._v_flat = np.concatenate(v, axis=None, dtype=np.float64)
+        self._m_flat = np.zeros(total)
+        self._v_flat = np.zeros(total)
         self._m = self._views(self._m_flat, shapes)
         self._v = self._views(self._v_flat, shapes)
         # Workspace, never state: the flat gradient, one temporary and
@@ -196,18 +190,6 @@ class Adam(Optimizer):
             views.append(flat[offset:offset + size].reshape(shape))
             offset += size
         return views
-
-    def __getstate__(self):
-        # Pickling does not keep views of one buffer, so snapshots carry
-        # the per-parameter moments alone and rebuild the flat buffers.
-        return {key: value for key, value in self.__dict__.items()
-                if key not in _ADAM_WORKSPACE}
-
-    def __setstate__(self, state: dict) -> None:
-        state = {key: value for key, value in state.items()
-                 if key not in _ADAM_WORKSPACE}
-        self.__dict__.update(state)
-        self._hold_moments(state["_m"], state["_v"])
 
     def state_dict(self) -> dict:
         """Full Adam state: lr, betas, eps, step count, and both moments."""
@@ -264,9 +246,3 @@ class Adam(Optimizer):
         for p, p_step, grad in zip(self.params, self._step_views, grads):
             if grad is not None:
                 p.data -= p_step
-
-
-#: Adam attributes rebuilt from the moments rather than pickled.
-_ADAM_WORKSPACE = frozenset({"_m_flat", "_v_flat", "_g_flat", "_buf",
-                             "_step_flat", "_step_views", "_sizes",
-                             "_scratch"})

@@ -4,15 +4,15 @@ Three pieces, built on one :class:`~repro.parallel.pool.ProcessPool`
 abstraction:
 
 - **parallel sweeps** (:mod:`repro.parallel.sweep`): each (dataset, model,
-  seed) cell of a benchmark sweep trains in a worker subprocess, with
-  deterministic per-cell seed spawning, pickling-safe failure records, and
-  per-cell wall/CPU timing;
+  seed) cell of a benchmark sweep trains in a worker subprocess and returns
+  its model as model archive bytes, with deterministic per-cell seed
+  spawning, structured failure records, and per-cell wall/CPU timing;
 - **sharded generation** (:mod:`repro.parallel.generation`): a generation
   request is split into fixed blocks whose noise is drawn up front in the
   parent, so ``generate(n, workers=k)`` is bit-identical for every ``k``;
 - **result caching** (:mod:`repro.parallel.cache`): trained sweep cells
-  are stored on disk keyed by (config hash, dataset fingerprint, seed), so
-  repeated sweeps skip finished cells.
+  are stored on disk as model archives keyed by (config hash, dataset
+  fingerprint, seed), so repeated sweeps skip finished cells.
 
 See docs/architecture.md ("Parallel execution") for the worker model and
 the determinism contract.

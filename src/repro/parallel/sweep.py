@@ -18,11 +18,16 @@ Determinism contract:
   bit-identical models;
 - results are reassembled in cell order, never completion order.
 
-Failures cross the process boundary as pickling-safe
+A trained model leaves its cell as model archive bytes (the backend's
+``save_bytes``, :mod:`repro.backends.archive`), the one format the CLI,
+the registry and the sweep cache also use; the parent decodes every blob,
+fresh or cached, so a sweep returns the same kind of model at any worker
+count and on a cache hit.  Failures cross the process boundary as
 :class:`~repro.resilience.failures.FailureRecord` instances inside the
-cell outcome -- a diverging model in a worker never aborts the sweep and
-never surfaces as an unpicklable traceback.  Every outcome also carries a
-:class:`CellTiming` with wall/CPU seconds measured inside the worker.
+cell outcome -- a diverging model in a worker never aborts the sweep, and
+a model with a non-finite parameter, which the archive refuses, is that
+cell's failure.  Every outcome also carries a :class:`CellTiming` with
+wall/CPU seconds measured inside the worker.
 
 Telemetry rides the same plumbing: when ``run_cells`` receives a
 ``telemetry=(root, run_id)`` spec, each worker writes its cell's events
@@ -98,10 +103,11 @@ class CellTiming:
 
 @dataclass
 class CellOutcome:
-    """What one worker returns for one cell (pickled across processes)."""
+    """What one worker returns for one cell: the fitted model's archive
+    bytes, or the failure that stopped it."""
 
     label: tuple
-    model: object | None
+    blob: bytes | None
     failure: FailureRecord | None
     timing: CellTiming
 
@@ -156,31 +162,37 @@ def _cell_config(cell: SweepCell, scale, config_overrides: dict) -> dict:
 
 
 def _run_cell(payload) -> CellOutcome:
-    """Worker entry point: train one cell, catching failures structurally.
+    """Worker entry point: train and encode one cell, catching failures
+    structurally.
 
     The failure record is handed back in the outcome, never added to this
     process's failure list: the parent records it once, whether the cell
     ran inline or in a worker.
     """
     cell, scale, config_overrides, telemetry = payload
+    from repro.backends import get_backend
     from repro.experiments import harness
 
     if telemetry is not None:
         return _run_cell_with_telemetry(cell, scale, config_overrides,
                                         telemetry)
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    model = failure = None
+    model = blob = failure = None
     records = []
     try:
         model = harness.train_model(records.append, cell.dataset,
                                     cell.model, scale, seed=cell.seed,
                                     **config_overrides)
-    except Exception:
-        (failure,) = records  # handed over by train_model as it raised
+        blob = get_backend(cell.model).save_bytes(model)
+    except Exception as exc:
+        # train_model hands its record over as it raises; a refused
+        # encode (a non-finite parameter) gets one here.
+        failure = records[0] if records else FailureRecord.from_exception(
+            cell.dataset, cell.model, exc, model=model)
     timing = CellTiming(wall=time.perf_counter() - wall0,
                         cpu=time.process_time() - cpu0,
                         failed=failure is not None, pid=os.getpid())
-    return CellOutcome(label=cell.label, model=model, failure=failure,
+    return CellOutcome(label=cell.label, blob=blob, failure=failure,
                        timing=timing)
 
 
@@ -256,11 +268,11 @@ def run_cells(cells: list[SweepCell], scale, config_overrides: dict,
                 dataset_fps[cell.dataset], cell.seed)
             keys[cell.label] = key
             wall0 = time.perf_counter()
-            model = cache.get(key)
-            if model is not None:
+            blob = cache.get(key)
+            if blob is not None:
                 obs_events.emit("cache.hit", {"cell": cell_id(cell.label)})
                 outcomes[cell.label] = CellOutcome(
-                    label=cell.label, model=model, failure=None,
+                    label=cell.label, blob=blob, failure=None,
                     timing=CellTiming(wall=time.perf_counter() - wall0,
                                       cpu=0.0, cached=True,
                                       pid=os.getpid()))
@@ -274,8 +286,8 @@ def run_cells(cells: list[SweepCell], scale, config_overrides: dict,
                 for cell in pending]
     for outcome in ProcessPool(workers).map(_run_cell, payloads):
         outcomes[outcome.label] = outcome
-        if cache is not None and outcome.model is not None:
-            cache.put(keys[outcome.label], outcome.model)
+        if cache is not None and outcome.blob is not None:
+            cache.put(keys[outcome.label], outcome.blob)
             obs_events.emit("cache.store",
                             {"cell": cell_id(outcome.label)})
     return [outcomes[cell.label] for cell in cells]

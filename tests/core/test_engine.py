@@ -50,7 +50,7 @@ def _run(compiled: bool, steps: int) -> dict:
         for _ in range(steps):
             _iteration(model.trainer, encoded)
     plans = {attr: model.trainer.__dict__.get(attr)
-             for attr in model.trainer._PLANS}
+             for attr in ("_d_plan", "_g_plan", "_w_plan")}
     return {"ops": prof.total_calls(), "allocs": prof.total_allocs(),
             "sha": _params_sha(model.trainer),
             "arena_bytes": {attr.strip("_"): plan.arena_bytes()

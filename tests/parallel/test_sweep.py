@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import get_backend
 from repro.experiments.configs import TINY
 from repro.experiments.harness import clear_cache, run_sweep
 from repro.experiments.report import (render_sweep_report, sweep_digest,
@@ -123,6 +124,35 @@ class TestFailurePropagation:
         assert [f.message for f in result.failures] == ["boom"]
         assert get_failures() == result.failures
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_parameter_is_one_failure(self, workers,
+                                                 monkeypatch):
+        """A fit that leaves a NaN parameter is refused by the model
+        archive: the cell is one failure naming the module and the
+        parameter, not a model."""
+        from repro.baselines import ARBaseline
+        from repro.experiments.harness import get_failures
+
+        fit = ARBaseline.fit
+
+        def diverging_fit(self, dataset):
+            fit(self, dataset)
+            dict(self.mlp.named_parameters())["layers.1.bias"].data[0] = \
+                np.nan
+            return self
+
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+        monkeypatch.setattr(ARBaseline, "fit", diverging_fit)
+        result = run_sweep(["gcut"], ["hmm", "ar"], scale=TINY,
+                           workers=workers, verbose=False)
+        assert list(result.models) == [("gcut", "hmm")]
+        (record,) = result.failures
+        assert (record.dataset, record.model) == ("gcut", "ar")
+        assert record.exception_type == "ValueError"
+        assert "'mlp' parameter 'layers.1.bias'" in record.message
+        assert result.timings[("gcut", "ar")].failed
+        assert get_failures() == result.failures
+
     def test_isolate_false_trains_every_cell_then_raises(self, monkeypatch):
         from unittest import mock
         from repro.baselines import HMMBaseline
@@ -172,6 +202,46 @@ class TestCacheIntegration:
         other = run_sweep(["gcut"], ["hmm"], scale=bigger, seeds=[1],
                           cache_dir=cache_dir, verbose=False)
         assert not any(t.cached for t in other.timings.values())
+
+
+def _assert_same_generation(a, b) -> None:
+    for name in ("attributes", "features", "lengths"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestDecodedModels:
+    """Every sweep model is decoded from its model archive, so one asked
+    to generate without an ``rng`` starts from its configured seed,
+    wherever it came from: inline, a worker or the cache."""
+
+    @pytest.fixture
+    def sweeps(self, tmp_path):
+        cache_dir = tmp_path / "cells"
+        serial = run_sweep(["gcut"], ["dg"], scale=TINY,
+                           cache_dir=cache_dir, verbose=False)
+        clear_cache()
+        parallel = run_sweep(["gcut"], ["dg", "hmm"], scale=TINY,
+                             workers=2, verbose=False)
+        clear_cache()
+        cached = run_sweep(["gcut"], ["dg"], scale=TINY, workers=2,
+                           cache_dir=cache_dir, verbose=False)
+        assert all(t.cached for t in cached.timings.values())
+        return [result.models[("gcut", "dg")]
+                for result in (serial, parallel, cached)]
+
+    def test_rngless_generate_is_equal_serial_parallel_and_cached(
+            self, sweeps):
+        serial, parallel, cached = (model.generate(8) for model in sweeps)
+        _assert_same_generation(serial, parallel)
+        _assert_same_generation(serial, cached)
+
+    def test_rngless_generate_matches_a_loaded_archive(self, sweeps):
+        from repro.backends import load_model_bytes
+
+        blob = get_backend("dg").save_bytes(sweeps[0])
+        for model in sweeps:
+            loaded = load_model_bytes(blob)[0]
+            _assert_same_generation(model.generate(8), loaded.generate(8))
 
 
 class TestTimings:
