@@ -91,8 +91,7 @@ def check_shed_and_drain(model) -> None:
         batch = int(model.config.batch_size)
         service = GenerationService({"tiny@1": model},
                                     aliases={"tiny": "tiny@1"},
-                                    max_queue_rows=2 * batch,
-                                    max_wait_ms=0.0)
+                                    max_queue_rows=2 * batch)
         server = Server(service)
         host, port = server.address
         response: dict = {}

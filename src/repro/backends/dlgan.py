@@ -97,6 +97,7 @@ class DLGAN:
     def __init__(self, schema: DataSchema, config: DLGANConfig | None = None):
         self.schema = schema
         self.config = config or DLGANConfig()
+        self._rng = np.random.default_rng(self.config.seed)
         self.encoder = make_baseline_encoder(schema)
         self._built = False
         self.loss_history: dict[str, list[float]] = {"pattern": [],
@@ -298,7 +299,7 @@ class DLGAN:
         """Sample ``n`` objects (blocks of ``batch_size``, plan order)."""
         if not self._built:
             raise RuntimeError("fit() must be called before generate()")
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else self._rng
         cfg = self.config
         parts_attrs, parts_feats = [], []
         remaining = n

@@ -38,6 +38,7 @@ class ARBaseline(GenerativeModel):
         self.iterations = iterations
         self.noise_scale = noise_scale
         self.seed = seed
+        self._rng = np.random.default_rng(seed)
         self.attribute_sampler = EmpiricalAttributeSampler()
         self.encoder = None
         self.schema = None
@@ -123,7 +124,7 @@ class ARBaseline(GenerativeModel):
                  rng: np.random.Generator | None = None) -> TimeSeriesDataset:
         if self.mlp is None:
             raise RuntimeError("fit() must be called before generate()")
-        rng = rng or np.random.default_rng()
+        rng = rng if rng is not None else self._rng
         tmax = self.schema.max_length
         dim = self.encoder.feature_dim
         attrs_raw = self.attribute_sampler.sample(n, rng)

@@ -134,6 +134,7 @@ class HMMBaseline(GenerativeModel):
 
     def __init__(self, n_states: int = 10, n_iter: int = 20, seed: int = 0):
         self.hmm = GaussianHMM(n_states=n_states, n_iter=n_iter, seed=seed)
+        self._rng = np.random.default_rng(seed)
         self.attribute_sampler = EmpiricalAttributeSampler()
         self.encoder = None
         self.schema = None
@@ -152,7 +153,7 @@ class HMMBaseline(GenerativeModel):
                  rng: np.random.Generator | None = None) -> TimeSeriesDataset:
         if self.encoder is None:
             raise RuntimeError("fit() must be called before generate()")
-        rng = rng or np.random.default_rng()
+        rng = rng if rng is not None else self._rng
         tmax = self.schema.max_length
         dim = self.encoder.feature_dim
         features = np.zeros((n, tmax, dim))

@@ -40,6 +40,7 @@ class NaiveGANBaseline(GenerativeModel):
         self.iterations = iterations
         self.gradient_penalty_weight = gradient_penalty_weight
         self.seed = seed
+        self._rng = np.random.default_rng(seed)
         self.encoder = None
         self.schema = None
         self.generator: MLP | None = None
@@ -118,7 +119,7 @@ class NaiveGANBaseline(GenerativeModel):
                  rng: np.random.Generator | None = None) -> TimeSeriesDataset:
         if self.generator is None:
             raise RuntimeError("fit() must be called before generate()")
-        rng = rng or np.random.default_rng()
+        rng = rng if rng is not None else self._rng
         attr_dim = self.encoder.attribute_dim
         tmax = self.schema.max_length
         dim = self.encoder.feature_dim

@@ -34,6 +34,7 @@ class RNNBaseline(GenerativeModel):
         self.batch_size = batch_size
         self.iterations = iterations
         self.seed = seed
+        self._rng = np.random.default_rng(seed)
         self.attribute_sampler = EmpiricalAttributeSampler()
         self.encoder = None
         self.schema = None
@@ -129,7 +130,7 @@ class RNNBaseline(GenerativeModel):
                  rng: np.random.Generator | None = None) -> TimeSeriesDataset:
         if self.cell is None:
             raise RuntimeError("fit() must be called before generate()")
-        rng = rng or np.random.default_rng()
+        rng = rng if rng is not None else self._rng
         tmax = self.schema.max_length
         dim = self.encoder.feature_dim
         attrs_raw = self.attribute_sampler.sample(n, rng)

@@ -277,15 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=0,
                      help="0 binds an ephemeral port (printed, and "
                           "written to --port-file)")
-    srv.add_argument("--batch-wait-ms", type=float, default=0.0,
-                     help="hold a partial micro-batch open up to this "
-                          "long for more requests (default 0: run "
-                          "whatever is queued at once)")
-    srv.add_argument("--batch-rows", type=int, default=None,
-                     help="rows per execution bundle (default: the "
-                          "model's batch_size -- the only value that "
-                          "keeps served output byte-identical to direct "
-                          "generation)")
     srv.add_argument("--queue-rows", type=int, default=4096,
                      help="admission bound; beyond it requests are shed "
                           "with a 'busy' error")
@@ -736,8 +727,6 @@ def _cmd_serve(args) -> int:
                             model_cache=args.model_cache,
                             quota_rps=args.quota_rps,
                             quota_burst=args.quota_burst,
-                            max_batch_rows=args.batch_rows,
-                            max_wait_ms=args.batch_wait_ms,
                             max_queue_rows=args.queue_rows)
         except RegistryError as exc:
             raise _CliError(str(exc)) from None
@@ -751,8 +740,6 @@ def _cmd_serve(args) -> int:
             service = GenerationService.from_registry(
                 registry, specs=args.models or None,
                 allow_empty=bool(args.jobs_dir),
-                max_batch_rows=args.batch_rows,
-                max_wait_ms=args.batch_wait_ms,
                 max_queue_rows=args.queue_rows)
         except RegistryError as exc:
             raise _CliError(str(exc)) from None
@@ -785,10 +772,8 @@ def _cmd_serve(args) -> int:
     server = Server(service, host=args.host, port=args.port)
     host, port = server.address
     for row in service.describe():
-        tag = "" if row.get("deterministic", True) else \
-            "  [non-deterministic batch-rows override]"
         print(f"serving {row['spec']} "
-              f"(aliases: {', '.join(row['aliases']) or '-'}){tag}")
+              f"(aliases: {', '.join(row['aliases']) or '-'})")
     print(f"listening on {host}:{port}")
     if args.port_file:
         _ensure_parent(args.port_file)

@@ -49,12 +49,11 @@ def plan_blocks(n: int, batch_size: int) -> list[int]:
 
 
 def plan_request(model, n: int, rng: np.random.Generator,
-                 attributes: np.ndarray | None = None,
-                 block_rows: int | None = None) -> list[BlockPlan]:
+                 attributes: np.ndarray | None = None) -> list[BlockPlan]:
     """Plan one generation request into blocks with pre-drawn noise.
 
     This is the single place a request is turned into model batches: the
-    serial path, the sharded path, and the serving micro-batcher all plan
+    serial path, the sharded path, and the serving batcher all plan
     through it, so "the blocks of ``generate(n, seed)``" means the same
     thing everywhere.  Noise for every block is drawn from ``rng`` here,
     in plan order, which is what makes a request's output independent of
@@ -65,15 +64,10 @@ def plan_request(model, n: int, rng: np.random.Generator,
         n: Number of objects requested.
         rng: The request's randomness source, consumed in plan order.
         attributes: Optional raw attribute rows (n, m) to condition on.
-        block_rows: Rows per block.  The default -- the model's configured
-            ``batch_size`` -- is the only value whose rng draw order (and
-            therefore output) matches :meth:`DoppelGANger.generate`;
-            anything else is an explicitly degraded mode (e.g. the
-            batch-size-1 serving of ``max_batch_rows=1``).
     """
     if attributes is not None and len(attributes) != n:
         raise ValueError("attributes must have n rows")
-    sizes = plan_blocks(n, block_rows or model.config.batch_size)
+    sizes = plan_blocks(n, model.config.batch_size)
     blocks, done = [], 0
     for size in sizes:
         cond = None

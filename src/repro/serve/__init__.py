@@ -1,13 +1,14 @@
-"""repro.serve: model registry + micro-batching generation service.
+"""repro.serve: model registry + generation service.
 
 The serving stack between a trained :class:`DoppelGANger` and its
 consumers (docs/serving.md):
 
 - :mod:`repro.serve.registry` -- on-disk, versioned, content-addressed
   model storage (``publish`` / ``resolve`` / ``load``).
-- :mod:`repro.serve.batcher` -- micro-batching scheduler that coalesces
-  concurrent ``generate(n, seed)`` requests while keeping served output
-  byte-identical to direct generation.
+- :mod:`repro.serve.batcher` -- per-model admission gate that runs
+  concurrent ``generate(n, seed)`` requests one at a time, in admission
+  order, on their callers' threads, byte-identical to direct
+  generation.
 - :mod:`repro.serve.protocol` -- length-prefixed JSON + npz framing.
 - :mod:`repro.serve.server` / :mod:`repro.serve.client` -- threaded
   loopback-socket server with bounded admission and graceful drain, plus

@@ -1,37 +1,32 @@
-"""Micro-batching request scheduler for online generation.
+"""Per-model admission gate for online generation.
 
-Concurrent ``generate(n, seed)`` requests are coalesced into bounded
-execution *bundles* that a single worker thread drains through the model,
-instead of each request paying its own scheduling round-trip.  Three
-properties drive the design:
+Each ``generate(n, seed)`` request runs on the thread that asked for it
+(a :class:`~repro.serve.server.Server` connection handler); the batcher
+only decides *when*.  Three properties drive the design:
 
 **Determinism by construction.**  A served request must be byte-identical
-to a direct :meth:`DoppelGANger.generate` call with the same seed, no
-matter how many other requests it was coalesced with (the contract CI
-enforces).  That rules out the obvious trick -- concatenating rows from
-several requests into one forward pass -- because BLAS gemm results
-depend on the row count of the pass: on this substrate a ``(8,16)@(16,2)``
-product and the same rows computed in a ``(3,16)@(16,2)`` product differ
-in the last ulp (OpenBLAS dispatches different kernels by shape; measured
-in ``docs/serving.md``).  So the batcher never repacks rows: each request
-is planned into exactly the blocks direct generation would run
+to a direct :meth:`DoppelGANger.generate` call with the same seed (the
+contract CI enforces).  That rules out concatenating rows from several
+requests into one forward pass, because BLAS gemm results depend on the
+row count of the pass: on this substrate a ``(8,16)@(16,2)`` product and
+the same rows computed in a ``(3,16)@(16,2)`` product differ in the last
+ulp (OpenBLAS dispatches different kernels by shape; measured in
+``docs/serving.md``).  So each request is planned into exactly the
+blocks direct generation would run
 (:func:`repro.parallel.generation.plan_request`, noise drawn from the
-request's own seeded rng in plan order), and coalescing happens at the
-*block* level -- many requests' blocks execute back-to-back in one worker
-wake-up, on one thread, against one model.
+request's own seeded rng in plan order) and runs them alone.
 
-**Work-conserving flush.**  The worker assembles a bundle of up to
-``max_batch_rows`` queued rows and runs it as soon as it wakes.  An
-optional ``max_wait_ms`` deadline (measured from the oldest queued block)
-holds a partial bundle open instead; it is off by default because rows
-are never merged across requests, so holding a bundle saves at most a
-worker wake-up and never a model pass.
+**One request at a time, in admission order.**  Admitted requests form a
+FIFO; only its head holds the *turn* and runs its blocks and decode.  The
+model's generation plans (their arenas) are therefore never used by two
+threads at once, and requests finish in the order they were admitted.
 
-**Bounded admission.**  ``submit`` rejects with :class:`QueueFull` once
-``max_queue_rows`` rows are queued -- requests are shed at the door with
-an explicit error, never parked on an unbounded queue (the server maps
-this to the ``busy`` protocol code).  ``close(drain=True)`` stops
-admission and completes everything already queued before returning.
+**Bounded admission.**  :meth:`MicroBatcher.generate` raises
+:class:`QueueFull` once ``max_queue_rows`` rows are admitted and not yet
+finished -- requests are shed at the door with an explicit error, never
+parked on an unbounded queue (the server maps this to the ``busy``
+protocol code).  ``close(drain=True)`` stops admission and returns once
+everything admitted has finished.
 
 The throughput win over batch-size-1 serving comes from the batch
 dimension itself: on the numpy substrate a forward pass costs nearly the
@@ -39,7 +34,7 @@ same for 1 row as for ``batch_size`` rows (Python graph overhead
 dominates), so serving a 16-object request as one 16-row block instead of
 16 single-row passes is ~an order of magnitude cheaper.  perfbench's
 traced ``serve.small.model_passes_per_request`` metric reads 1 pass per
-n=16 request at the default planning.
+n=16 request.
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +49,7 @@ from repro.observability import metrics as obs_metrics
 from repro.observability.metrics import LATENCY_BUCKETS
 from repro.parallel.generation import plan_request
 
-__all__ = ["MicroBatcher", "QueueFull", "BatcherClosed", "StagedFuture"]
+__all__ = ["MicroBatcher", "QueueFull", "BatcherClosed"]
 
 
 class QueueFull(RuntimeError):
@@ -71,150 +64,66 @@ class BatcherClosed(RuntimeError):
     code = "shutting_down"
 
 
-class StagedFuture(Future):
-    """A request's Future plus its timings: ``admitted``, the
-    ``time.perf_counter()`` at which it entered the queue (or completed,
-    for ``n == 0``), set before :meth:`MicroBatcher.submit` returns; and
-    ``stages``, the seconds the worker spent on it, keyed ``model`` (its
-    blocks' passes) and ``assemble`` (decoding the concatenated blocks),
-    filled in before the Future resolves."""
+class _Turn:
+    """One admitted request's place in the queue."""
 
-    def __init__(self):
-        super().__init__()
-        self.admitted = 0.0
-        self.stages: dict[str, float] = {}
+    __slots__ = ("rows", "dropped")
 
-
-@dataclass
-class _Pending:
-    """One admitted request and its partially filled output."""
-
-    n: int
-    future: StagedFuture
-    parts: list  # (attrs, minmax, features) triple per block, plan order
-    remaining: int  # blocks still to execute
-    rows_done: int = 0
-
-
-@dataclass
-class _Block:
-    """One executable unit: a planned block of a pending request."""
-
-    pending: _Pending
-    index: int
-    size: int
-    noise: tuple
-    cond: object = None
-
-
-@dataclass
-class _Bundle:
-    blocks: list = field(default_factory=list)
-    rows: int = 0
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.dropped = False  # set by close(drain=False) before its turn
 
 
 class MicroBatcher:
-    """Coalesce concurrent generation requests against one model.
+    """Run generation requests against one model, one at a time.
 
     Args:
         model: A trained model of any registered backend.  Models with
             DoppelGANger's block API (``_draw_block_noise`` /
-            ``_generate_block``) get block-level coalescing; any other
+            ``_generate_block``) run their planned blocks; any other
             model runs in *opaque* mode, where each request executes as
-            one ``generate(n, rng)`` call (trivially byte-identical to
-            direct generation, coalescing only across requests).
-        max_batch_rows: Target rows per execution bundle *and* the block
-            size requests are planned with (clamped to the model's
-            ``batch_size``).  The default (``None``) uses the model's
-            configured ``batch_size`` -- the only planning that keeps the
-            served-equals-direct determinism contract.  ``1`` is the
-            degraded per-sample mode benchmarked as "batching off".
-        max_wait_ms: Deadline for flushing a partial bundle, measured
-            from the oldest queued block's admission.  ``0`` (default)
-            flushes whatever is queued as soon as the worker wakes.
-        max_queue_rows: Admission bound; ``submit`` beyond it raises
-            :class:`QueueFull`.
-        name: Label used in thread names and error messages.
+            one ``generate(n, rng)`` call (byte-identical to direct
+            generation by construction).
+        max_queue_rows: Admission bound; :meth:`generate` beyond it
+            raises :class:`QueueFull`.
+        name: Label used in error messages.
     """
 
-    #: Rows per bundle for models without block-level generation.
-    OPAQUE_BATCH_ROWS = 64
-
-    def __init__(self, model, *, max_batch_rows: int | None = None,
-                 max_wait_ms: float = 0.0, max_queue_rows: int = 4096,
+    def __init__(self, model, *, max_queue_rows: int = 4096,
                  name: str = "model"):
-        if max_batch_rows is not None and max_batch_rows < 1:
-            raise ValueError("max_batch_rows must be >= 1")
         if max_queue_rows < 1:
             raise ValueError("max_queue_rows must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.model = model
         self.name = str(name)
-        # Models exposing DoppelGANger's block API get block-level
-        # coalescing; any other backend's model falls back to *opaque*
-        # requests -- each request runs as one model.generate(n, rng)
-        # call with its own seeded rng, which is byte-identical to
-        # direct generation by construction (no repacking to undo).
         self._block_mode = (hasattr(model, "_generate_block")
                             and hasattr(model, "_draw_block_noise"))
-        if self._block_mode:
-            model_batch = int(model.config.batch_size)
-            self.max_batch_rows = int(max_batch_rows or model_batch)
-            self.plan_rows = min(self.max_batch_rows, model_batch)
-        else:
-            self.max_batch_rows = int(max_batch_rows
-                                      or self.OPAQUE_BATCH_ROWS)
-            self.plan_rows = self.max_batch_rows
-        self.max_wait_ms = float(max_wait_ms)
         self.max_queue_rows = int(max_queue_rows)
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._queue: deque[_Block] = deque()
+        self._turn = threading.Condition(self._lock)
+        # Admitted, unfinished requests; the head holds the turn.
+        self._queue: deque[_Turn] = deque()
         self._queued_rows = 0
         self._closed = False
-        self._worker = threading.Thread(
-            target=self._run, name=f"repro-serve-batcher-{self.name}",
-            daemon=True)
-        self._worker.start()
 
-    @property
-    def deterministic(self) -> bool:
-        """Whether served output matches direct ``generate()`` byte-wise."""
-        if not self._block_mode:
-            return True  # whole-request execution, nothing is repacked
-        return self.plan_rows == int(self.model.config.batch_size)
+    def generate(self, n: int, seed: int, stages: dict | None = None):
+        """Serve ``generate(n, seed)``; returns a
+        :class:`~repro.data.dataset.TimeSeriesDataset` byte-identical to
+        ``model.generate(n, rng=default_rng(seed))``.
 
-    # -- admission -----------------------------------------------------------
-    def submit(self, n: int, seed: int) -> StagedFuture:
-        """Admit a ``generate(n, seed)`` request; returns its Future.
-
-        The Future resolves to a
-        :class:`~repro.data.dataset.TimeSeriesDataset` and carries the
-        request's stage timings (:class:`StagedFuture`).  Raises
-        :class:`QueueFull` when admission would exceed
+        Raises :class:`QueueFull` when admission would exceed
         ``max_queue_rows`` and :class:`BatcherClosed` after
-        :meth:`close`.
+        :meth:`close` (or when ``close(drain=False)`` drops the request
+        before its turn).  ``stages``, when given, receives the seconds
+        spent waiting for the turn (``queue``), in model passes
+        (``model``) and decoding (``assemble``).
         """
         n = int(n)
         if n < 0:
             raise ValueError("n must be >= 0")
-        if self._block_mode:
-            # Plan (and draw noise) outside the lock: rng work per
-            # request is independent, only queue accounting needs
-            # exclusion.
-            rng = np.random.default_rng(int(seed))
-            plan = plan_request(self.model, n, rng,
-                                block_rows=self.plan_rows)
-            blocks = [(b.size, b.noise, b.cond) for b in plan]
-        else:
-            # Opaque mode: the whole request is one executable unit,
-            # carrying its seed instead of pre-drawn noise.
-            blocks = [(n, (int(seed),), None)] if n else []
-        future = StagedFuture()
-        pending = _Pending(n=n, future=future,
-                           parts=[None] * len(blocks),
-                           remaining=len(blocks))
+        # Plan (and draw noise) outside the lock: rng work per request
+        # is independent, only queue accounting needs exclusion.
+        plan = (plan_request(self.model, n, np.random.default_rng(seed))
+                if self._block_mode else None)
         with self._lock:
             if self._closed:
                 raise BatcherClosed(
@@ -226,71 +135,53 @@ class MicroBatcher:
                     f"({self._queued_rows}/{self.max_queue_rows} rows "
                     f"queued, request adds {n}); retry later")
             obs_metrics.counter("serve.requests").inc()
-            if not blocks:
-                # n == 0: nothing to execute, complete immediately.
-                future.admitted = time.perf_counter()
-                future.set_result(self._assemble(pending))
-                return future
-            for index, (size, noise, cond) in enumerate(blocks):
-                self._queue.append(_Block(pending=pending, index=index,
-                                          size=size, noise=noise,
-                                          cond=cond))
+            if n == 0:
+                return self._assemble([])
+            turn = _Turn(n)
+            self._queue.append(turn)
             self._queued_rows += n
-            future.admitted = time.perf_counter()
             obs_metrics.gauge("serve.queue_rows").set(self._queued_rows)
-            self._work.notify()
-        return future
+            admitted = time.perf_counter()
+            while not turn.dropped and self._queue[0] is not turn:
+                self._turn.wait()
+            if turn.dropped:
+                raise BatcherClosed(f"batcher {self.name!r} shut down "
+                                    f"before this request ran")
+        started = time.perf_counter()
+        passes = None
+        try:
+            if plan is None:
+                parts = [self.model.generate(
+                    n, rng=np.random.default_rng(seed))]
+            else:
+                parts = [self.model._generate_block(b.size, b.noise,
+                                                    b.cond)
+                         for b in plan]
+            passed = time.perf_counter()
+            dataset = self._assemble(parts)
+            finished = time.perf_counter()
+            passes = len(parts)
+        finally:
+            self._release(turn, passes, admitted)
+        if stages is not None:
+            stages["queue"] = started - admitted
+            stages["model"] = passed - started
+            stages["assemble"] = finished - passed
+        return dataset
 
-    # -- worker --------------------------------------------------------------
-    def _take_bundle(self) -> _Bundle | None:
-        """Wait for work, honour the flush deadline, pop one bundle.
-
-        Returns ``None`` when closed and fully drained.
-        """
-        with self._lock:
-            while not self._queue:
-                if self._closed:
-                    return None
-                self._work.wait()
-            # Deadline flush: hold a partial bundle open (up to
-            # max_wait_ms from the oldest block's admission) to let
-            # concurrent requests coalesce into the same wake-up.
-            if self.max_wait_ms > 0 and not self._closed:
-                while (self._queued_rows < self.max_batch_rows
-                       and not self._closed):
-                    # Re-derive the deadline from the *current* queue head
-                    # every iteration: a spurious wakeup (or any notify
-                    # that does not fill the bundle) must not reset the
-                    # clock, and the head block's admission time bounds
-                    # how long any queued request can be held.
-                    deadline = (self._queue[0].pending.future.admitted
-                                + self.max_wait_ms / 1000.0)
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._work.wait(timeout=remaining)
-            bundle = _Bundle()
-            while self._queue and (not bundle.blocks
-                                   or bundle.rows + self._queue[0].size
-                                   <= self.max_batch_rows):
-                block = self._queue.popleft()
-                bundle.blocks.append(block)
-                bundle.rows += block.size
-            return bundle
-
-    def _assemble(self, pending: _Pending):
-        """Concatenate a finished request's blocks and decode.
+    def _assemble(self, parts: list):
+        """Concatenate a request's blocks and decode.
 
         Decoding happens on the full ``(n, ...)`` arrays, exactly as
         :meth:`DoppelGANger.generate` does after its own block loop.
         In opaque mode the single part already *is* the decoded dataset.
         """
+        if not self._block_mode and parts:
+            return parts[0]
         encoder = self.model.encoder
-        if not self._block_mode and pending.parts:
-            return pending.parts[0]
-        if pending.parts:
+        if parts:
             attrs, minmax, features = (
-                np.concatenate([part[i] for part in pending.parts])
+                np.concatenate([part[i] for part in parts])
                 for i in range(3))
         else:
             attrs = np.zeros((0, encoder.attribute_dim))
@@ -299,97 +190,43 @@ class MicroBatcher:
                                  encoder.feature_dim))
         return encoder.inverse(attrs, minmax, features)
 
-    @staticmethod
-    def _settle(future: Future, result=None, exc=None) -> None:
-        """Resolve a future, tolerating a concurrent cancel."""
-        try:
-            if exc is not None:
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-        except Exception:  # already cancelled/settled: result is dropped
-            pass
+    def _release(self, turn: _Turn, passes: int | None,
+                 admitted: float) -> None:
+        """Pass the turn on; count the request unless it failed
+        (``passes is None``)."""
+        with self._lock:
+            self._queue.popleft()
+            self._queued_rows -= turn.rows
+            obs_metrics.gauge("serve.queue_rows").set(self._queued_rows)
+            if passes is not None:
+                obs_metrics.counter("serve.model_passes").inc(passes)
+                obs_metrics.counter("serve.samples").inc(turn.rows)
+                obs_metrics.counter("serve.completed").inc()
+                obs_metrics.histogram(
+                    "serve.latency_seconds", LATENCY_BUCKETS).observe(
+                    time.perf_counter() - admitted)
+            self._turn.notify_all()
 
-    def _run(self) -> None:
-        while True:
-            bundle = self._take_bundle()
-            if bundle is None:
-                return
-            finished: list[_Pending] = []
-            for block in bundle.blocks:
-                pending = block.pending
-                if pending.future.done():  # failed or cancelled earlier
-                    continue
-                stages = pending.future.stages
-                started = time.perf_counter()
-                try:
-                    if self._block_mode:
-                        part = self.model._generate_block(block.size,
-                                                          block.noise,
-                                                          block.cond)
-                    else:
-                        part = self.model.generate(
-                            block.size,
-                            rng=np.random.default_rng(block.noise[0]))
-                except BaseException as exc:  # surface, don't kill worker
-                    self._settle(pending.future, exc=exc)
-                    continue
-                stages["model"] = (stages.get("model", 0.0)
-                                   + time.perf_counter() - started)
-                pending.parts[block.index] = part
-                pending.rows_done += block.size
-                pending.remaining -= 1
-                if pending.remaining == 0:
-                    finished.append(pending)
-            for pending in finished:
-                started = time.perf_counter()
-                try:
-                    result = self._assemble(pending)
-                except BaseException as exc:
-                    self._settle(pending.future, exc=exc)
-                    continue
-                pending.future.stages["assemble"] = \
-                    time.perf_counter() - started
-                self._settle(pending.future, result=result)
-            now = time.perf_counter()
-            with self._lock:
-                self._queued_rows -= bundle.rows
-                obs_metrics.gauge("serve.queue_rows").set(
-                    self._queued_rows)
-                obs_metrics.counter("serve.batches").inc()
-                obs_metrics.counter("serve.model_passes").inc(
-                    len(bundle.blocks))
-                obs_metrics.counter("serve.samples").inc(bundle.rows)
-                obs_metrics.counter("serve.completed").inc(len(finished))
-                latency = obs_metrics.histogram("serve.latency_seconds",
-                                                LATENCY_BUCKETS)
-                for pending in finished:
-                    latency.observe(now - pending.future.admitted)
-
-    # -- shutdown ------------------------------------------------------------
     def close(self, drain: bool = True, timeout: float | None = None
               ) -> None:
-        """Stop admission; optionally finish everything already queued.
+        """Stop admission; optionally let everything admitted finish.
 
-        With ``drain=True`` (the default) every admitted request
-        completes before the worker exits.  With ``drain=False`` queued
-        requests fail with :class:`BatcherClosed`; the block currently
-        executing (if any) still completes.
+        With ``drain=True`` (the default) this returns once every
+        admitted request has finished (or ``timeout`` seconds pass).
+        With ``drain=False`` every request not yet holding the turn
+        raises :class:`BatcherClosed`; the one running still completes.
         """
         with self._lock:
-            if not self._closed:
-                self._closed = True
-                if not drain:
-                    dropped = {id(b.pending): b.pending
-                               for b in self._queue}
-                    self._queued_rows -= sum(b.size for b in self._queue)
-                    self._queue.clear()
-                    for pending in dropped.values():
-                        self._settle(pending.future, exc=BatcherClosed(
-                            f"batcher {self.name!r} shut down before "
-                            f"this request ran"))
-            self._work.notify_all()
-        self._worker.join(timeout=timeout)
+            self._closed = True
+            if not drain:
+                while len(self._queue) > 1:
+                    dropped = self._queue.pop()
+                    dropped.dropped = True
+                    self._queued_rows -= dropped.rows
+                obs_metrics.gauge("serve.queue_rows").set(
+                    self._queued_rows)
+                self._turn.notify_all()
+            self._turn.wait_for(lambda: not self._queue, timeout)
 
     def __enter__(self) -> "MicroBatcher":
         return self

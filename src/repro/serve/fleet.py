@@ -15,9 +15,9 @@ knowing it.
 Determinism contract (the point of the whole design):
 
 - Generation is a pure function of ``(model bytes, n, seed)`` -- the
-  registry content-addresses the bytes and the batcher coalesces at
-  block level without repacking rows -- so **any** replica returns the
-  same bytes for the same request.
+  registry content-addresses the bytes and the batcher runs each
+  request's own blocks without repacking rows -- so **any** replica
+  returns the same bytes for the same request.
 - Routing is therefore free to be a pure function of the request:
   ``crc32(f"{spec}|{n}|{seed}") % replicas`` picks the preferred
   replica; an unhealthy replica shifts the request to the next healthy
@@ -212,7 +212,7 @@ class ModelCache:
                 self.evictions += 1
                 obs_metrics.counter("serve.cache.evictions").inc()
         # Draining the evicted batcher outside the lock keeps other
-        # lookups responsive; a racing submit on the evicted batcher
+        # lookups responsive; a racing generate on the evicted batcher
         # sees BatcherClosed and the service's lookup retry reloads.
         for old in evicted:
             old.close(drain=True)
@@ -381,8 +381,8 @@ class Fleet:
             ``quota_rps=None`` (default) disables quotas.
         request_timeout: Seconds the router waits on one replica for
             one forwarded request before suspecting it.
-        max_batch_rows / max_wait_ms / max_queue_rows / max_request_n:
-            Passed through to every replica's service.
+        max_queue_rows / max_request_n: Passed through to every
+            replica's service.
         respawn_policy: Backoff schedule for respawning dead replicas.
         clock: Injectable monotonic clock (quota + backoff tests).
     """
@@ -392,8 +392,6 @@ class Fleet:
                  quota_rps: float | None = None,
                  quota_burst: int | None = None,
                  request_timeout: float = 60.0,
-                 max_batch_rows: int | None = None,
-                 max_wait_ms: float = 0.0,
                  max_queue_rows: int = 4096,
                  max_request_n: int = DEFAULT_MAX_REQUEST_N,
                  respawn_policy: RetryPolicy | None = None,
@@ -411,8 +409,6 @@ class Fleet:
         self._clock = clock
         self._replica_options = {
             "model_cache": int(model_cache),
-            "max_batch_rows": max_batch_rows,
-            "max_wait_ms": float(max_wait_ms),
             "max_queue_rows": int(max_queue_rows),
             "max_request_n": int(max_request_n),
         }

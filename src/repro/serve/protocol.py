@@ -183,10 +183,10 @@ def validate_generate(header: dict, max_request_n: int):
 
 
 #: Stages a replica times for each served ``generate``, in order:
-#: frame read, validation + planning + queue insert, wait (for the worker,
-#: and for the handler to wake once the result is ready), model passes,
-#: decoding, npz encoding, response write.  Consecutive timestamps bound
-#: them, so they tile the request.
+#: frame read, validation + planning + queue insert, wait for the model's
+#: turn (earlier requests' passes), model passes, decoding, npz encoding,
+#: response write.  All run on the connection's thread and consecutive
+#: timestamps bound them, so they tile the request.
 SERVE_STAGES = ("read", "admit", "queue", "model", "assemble", "encode",
                 "write")
 #: Stages a fleet router times for each routed ``generate``.

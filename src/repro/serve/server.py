@@ -13,10 +13,10 @@ Two layers, deliberately separable:
   ``jobs``) and hot-loads each auto-published model the moment its job
   completes, so ``generate`` picks it up without a restart.
 - :class:`Server` owns a listening socket, an accept thread, and one
-  handler thread per connection.  Handler threads block on their
-  request's Future while the batcher worker executes -- concurrency is
-  bounded by the batcher's admission queue, so a flooded server *sheds*
-  (``busy`` responses) instead of accumulating unbounded work.
+  handler thread per connection.  Each handler runs its own requests'
+  model passes once the model's batcher gives it the turn -- concurrency
+  is bounded by the batcher's admission queue, so a flooded server
+  *sheds* (``busy`` responses) instead of accumulating unbounded work.
 
 Shutdown contract (``Server.shutdown(drain=True)``): stop accepting, stop
 admitting, complete every already-admitted request and write its
@@ -45,26 +45,23 @@ DEFAULT_MAX_REQUEST_N = 1 << 20
 
 
 class GenerationService:
-    """Named models behind micro-batchers, plus request dispatch.
+    """Named models behind batchers, plus request dispatch.
 
     Args:
         models: Mapping of spec -> trained DoppelGANger.  Specs are the
             strings clients send (conventionally ``name@version``).
         aliases: Optional extra spec -> canonical-spec mapping (e.g.
             ``{"wwt": "wwt@3", "wwt@latest": "wwt@3"}``).
-        max_batch_rows / max_wait_ms / max_queue_rows: Batcher knobs,
-            shared by every model (see :class:`MicroBatcher`).
+        max_queue_rows: Admission bound of every model's batcher (see
+            :class:`MicroBatcher`).
         max_request_n: Per-request object cap (``bad_request`` beyond).
     """
 
     def __init__(self, models: dict, aliases: dict | None = None, *,
-                 max_batch_rows: int | None = None,
-                 max_wait_ms: float = 0.0, max_queue_rows: int = 4096,
+                 max_queue_rows: int = 4096,
                  max_request_n: int = DEFAULT_MAX_REQUEST_N,
                  registry: ModelRegistry | None = None):
-        self._batcher_kwargs = dict(max_batch_rows=max_batch_rows,
-                                    max_wait_ms=max_wait_ms,
-                                    max_queue_rows=max_queue_rows)
+        self._batcher_kwargs = dict(max_queue_rows=max_queue_rows)
         self.batchers: dict[str, MicroBatcher] = {
             spec: MicroBatcher(model, name=spec, **self._batcher_kwargs)
             for spec, model in models.items()
@@ -179,10 +176,7 @@ class GenerationService:
         """One row per served model, for the ``models`` op."""
         rows = []
         for spec in sorted(self.batchers):
-            batcher = self.batchers[spec]
             rows.append({"spec": spec,
-                         "batch_rows": batcher.max_batch_rows,
-                         "deterministic": batcher.deterministic,
                          "aliases": sorted(a for a, c in
                                            self.aliases.items()
                                            if c == spec)})
@@ -230,12 +224,12 @@ class GenerationService:
         if isinstance(checked, str):
             return self._error(protocol.ERR_BAD_REQUEST, checked)
         spec, n, seed = checked
-        # lookup + submit retries: a lazily-loading service (the fleet's
-        # ReplicaService) may evict-and-close the looked-up batcher from
-        # another thread between lookup and submit; re-looking-up
-        # reloads the model.  The base service never evicts, so the
-        # loop runs once.
-        future = None
+        # lookup + generate retries: a lazily-loading service (the
+        # fleet's ReplicaService) may evict-and-close the looked-up
+        # batcher from another thread before it admits this request;
+        # re-looking-up reloads the model.  The base service never
+        # evicts, so the loop runs once.
+        dataset = None
         for _ in range(3):
             try:
                 batcher = self.lookup(spec)
@@ -245,7 +239,7 @@ class GenerationService:
                 return self._error(protocol.ERR_INTERNAL,
                                    f"model load failed: {exc}")
             try:
-                future = batcher.submit(n, seed)
+                dataset = batcher.generate(n, seed, stages)
                 break
             except QueueFull as exc:
                 return self._error(protocol.ERR_BUSY, str(exc))
@@ -253,29 +247,21 @@ class GenerationService:
                 if self._closed:
                     return self._error(protocol.ERR_SHUTTING_DOWN,
                                        str(exc))
-        if future is None:
+            except Exception as exc:
+                return self._error(protocol.ERR_INTERNAL,
+                                   f"generation failed: {exc}")
+        if dataset is None:
             return self._error(protocol.ERR_INTERNAL,
                                f"model {spec!r} kept closing during "
                                f"admission (eviction thrash)")
-        stages["admit"] = future.admitted - started
-        try:
-            dataset = future.result()
-        except BatcherClosed as exc:
-            return self._error(protocol.ERR_SHUTTING_DOWN, str(exc))
-        except Exception as exc:
-            return self._error(protocol.ERR_INTERNAL,
-                               f"generation failed: {exc}")
-        woken = time.perf_counter()
-        # The worker's model passes and decoding lie between admission
-        # and this thread's wake-up; the rest of that wait (the queue,
-        # other requests' passes in the same bundle, the hand-off back
-        # to this thread) is ``queue``.
-        stages.update(future.stages)
-        stages["queue"] = (woken - future.admitted
-                           - stages.get("model", 0.0)
-                           - stages.get("assemble", 0.0))
+        decoded = time.perf_counter()
+        # Whatever the batcher did not time as queue, model or assemble
+        # -- validation, lookup, planning, admission -- is ``admit``.
+        stages["admit"] = decoded - started - sum(
+            stages.get(stage, 0.0) for stage in ("queue", "model",
+                                                 "assemble"))
         payload = protocol.dataset_to_bytes(dataset)
-        stages["encode"] = time.perf_counter() - woken
+        stages["encode"] = time.perf_counter() - decoded
         return {"status": "ok", "n": n, "seed": seed,
                 "model": self.aliases.get(str(spec), str(spec)),
                 "payload_bytes": len(payload)}, payload

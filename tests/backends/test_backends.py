@@ -118,6 +118,27 @@ class TestRoundTrips:
         for left, right in zip(a.features, b.features):
             assert np.array_equal(left, right)
 
+    @pytest.mark.parametrize("name", backend_names())
+    def test_rngless_generate_starts_from_the_configured_seed(
+            self, fitted, name):
+        """Without an ``rng`` a loaded model draws from its configured
+        seed (11, from ``make_config``), never from OS entropy."""
+        blob = get_backend(name).save_bytes(fitted[name])
+        first, _ = load_model_bytes(blob)
+        second, _ = load_model_bytes(blob)
+        a, b = first.generate(8), second.generate(8)
+        expected = [b]
+        if name != "doppelganger":
+            # DoppelGANger builds its initial weights from the same
+            # stream, so its rng-less draws start after them.
+            expected.append(
+                first.generate(8, rng=np.random.default_rng(11)))
+        for other in expected:
+            assert np.array_equal(a.attributes, other.attributes)
+            assert np.array_equal(a.lengths, other.lengths)
+            for left, right in zip(a.features, other.features):
+                assert np.array_equal(left, right)
+
 
 class TestSniffing:
     @pytest.mark.parametrize("name", ALL_BACKENDS)

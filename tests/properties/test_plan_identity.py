@@ -82,8 +82,7 @@ class TestServingPlan:
         dataset = _dataset("gcut")
         model, _, _, _ = _train_and_generate(dataset, compiled=True)
         with plan_mode(True), MicroBatcher(model) as batcher:
-            served = [batcher.submit(12, seed=s).result(timeout=120)
-                      for s in range(3)]
+            served = [batcher.generate(12, seed=s) for s in range(3)]
         plan = model.__dict__.get("_gen_plan_uncond")
         assert plan is not None and plan.stats["replays"] >= 1
         with plan_mode(False):

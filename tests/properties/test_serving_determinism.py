@@ -1,8 +1,7 @@
 """Serving determinism: served output is byte-identical to direct
-generation, regardless of coalescing."""
+generation, however many requests run concurrently."""
 
 import threading
-from concurrent.futures import wait
 
 import numpy as np
 import pytest
@@ -27,12 +26,20 @@ def _identical(a, b):
 
 def test_coalesced_requests_match_direct_generation(served_model):
     """Eight concurrent seeds through one batcher == eight direct calls."""
-    with MicroBatcher(served_model, max_wait_ms=5.0) as batcher:
-        futures = {seed: batcher.submit(11 + seed, seed=seed)
-                   for seed in range(8)}
-        wait(futures.values(), timeout=120)
-    for seed, future in futures.items():
-        _identical(future.result(),
+    results = {}
+    with MicroBatcher(served_model) as batcher:
+        def request(seed):
+            results[seed] = batcher.generate(11 + seed, seed=seed)
+
+        threads = [threading.Thread(target=request, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert sorted(results) == list(range(8))
+    for seed, served in results.items():
+        _identical(served,
                    served_model.generate(11 + seed,
                                          rng=np.random.default_rng(seed)))
 
@@ -64,6 +71,6 @@ def test_save_bytes_roundtrip_preserves_served_output(served_model):
     """Publish-shaped roundtrip (save_bytes/load_bytes) is inert."""
     clone = DoppelGANger.load_bytes(served_model.save_bytes())
     with MicroBatcher(clone) as batcher:
-        served = batcher.submit(13, seed=21).result(timeout=60)
+        served = batcher.generate(13, seed=21)
     _identical(served,
                served_model.generate(13, rng=np.random.default_rng(21)))

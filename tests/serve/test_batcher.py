@@ -1,7 +1,8 @@
-"""MicroBatcher: determinism under coalescing, backpressure, drain."""
+"""MicroBatcher: determinism, FIFO turns, backpressure, drain."""
 
+import sys
 import threading
-from concurrent.futures import wait
+import time
 
 import numpy as np
 import pytest
@@ -18,14 +19,17 @@ def batcher(trained_dg_gcut):
 
 
 class _HeldModel:
-    """Context: the model's block execution parks on an Event."""
+    """Context: the model's block execution parks on an Event and logs
+    each block's size in the order blocks run."""
 
     def __init__(self, monkeypatch, model):
         self.release = threading.Event()
         self.started = threading.Event()
+        self.sizes = []
         original = type(model)._generate_block
 
         def held(size, noise, cond):
+            self.sizes.append(size)
             self.started.set()
             assert self.release.wait(20), "test forgot to release"
             return original(model, size, noise, cond)
@@ -33,46 +37,144 @@ class _HeldModel:
         monkeypatch.setattr(model, "_generate_block", held)
 
 
+class _Call(threading.Thread):
+    """``batcher.generate(n, seed)`` on its own thread, the way a
+    connection handler runs it."""
+
+    def __init__(self, batcher, n, seed):
+        super().__init__(daemon=True)
+        self.batcher, self.n, self.seed = batcher, n, seed
+        self.dataset = self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            self.dataset = self.batcher.generate(self.n, self.seed)
+        except BaseException as exc:  # re-raised by result()
+            self.error = exc
+
+    def result(self, timeout=60):
+        self.join(timeout)
+        assert not self.is_alive(), "request never finished"
+        if self.error is not None:
+            raise self.error
+        return self.dataset
+
+
+def _await_queued_rows(batcher, rows, timeout=10.0):
+    """Block until ``rows`` rows are admitted (so admission order is
+    fixed before the test goes on)."""
+    deadline = time.monotonic() + timeout
+    while batcher._queued_rows != rows:
+        assert time.monotonic() < deadline, batcher._queued_rows
+        time.sleep(0.001)
+
+
 class TestDeterminism:
     def test_served_equals_direct_multi_block(self, batcher,
                                               trained_dg_gcut):
         # 37 rows = blocks of 16 + 16 + 5 at the model's batch size.
-        served = batcher.submit(37, seed=99).result(timeout=60)
+        served = batcher.generate(37, seed=99)
         direct = trained_dg_gcut.generate(
             37, rng=np.random.default_rng(99))
         assert_datasets_identical(served, direct)
 
     def test_concurrent_requests_each_identical(self, batcher,
                                                 trained_dg_gcut):
-        futures = {seed: batcher.submit(8 + seed, seed=seed)
-                   for seed in range(8)}
-        wait(futures.values(), timeout=120)
-        for seed, future in futures.items():
+        calls = {seed: _Call(batcher, 8 + seed, seed)
+                 for seed in range(8)}
+        for seed, call in calls.items():
             direct = trained_dg_gcut.generate(
                 8 + seed, rng=np.random.default_rng(seed))
-            assert_datasets_identical(future.result(), direct)
-
-    def test_default_planning_is_deterministic(self, batcher):
-        assert batcher.deterministic
+            assert_datasets_identical(call.result(timeout=120), direct)
 
     def test_n_zero_completes_immediately(self, batcher):
-        assert len(batcher.submit(0, seed=1).result(timeout=5)) == 0
+        assert len(batcher.generate(0, seed=1)) == 0
 
     def test_negative_n_rejected(self, batcher):
         with pytest.raises(ValueError):
-            batcher.submit(-1, seed=0)
+            batcher.generate(-1, seed=0)
 
-    def test_batch_rows_one_is_flagged_nondeterministic(
-            self, trained_dg_gcut):
-        with MicroBatcher(trained_dg_gcut, max_batch_rows=1) as b:
-            assert not b.deterministic
-            result = b.submit(5, seed=3).result(timeout=60)
-        assert len(result) == 5
+    def test_stages_time_the_turn_the_passes_and_the_decode(
+            self, batcher):
+        stages = {}
+        batcher.generate(20, seed=4, stages=stages)
+        assert set(stages) == {"queue", "model", "assemble"}
+        assert all(value >= 0.0 for value in stages.values())
 
-    def test_batch_rows_clamped_to_model_batch(self, trained_dg_gcut):
-        with MicroBatcher(trained_dg_gcut, max_batch_rows=1000) as b:
-            assert b.plan_rows == trained_dg_gcut.config.batch_size
-            assert b.deterministic
+
+class TestTurns:
+    def test_runs_on_the_calling_thread(self, monkeypatch,
+                                        trained_dg_gcut):
+        original = type(trained_dg_gcut)._generate_block
+        threads = []
+
+        def recording(size, noise, cond):
+            threads.append(threading.current_thread())
+            return original(trained_dg_gcut, size, noise, cond)
+
+        monkeypatch.setattr(trained_dg_gcut, "_generate_block", recording)
+        with MicroBatcher(trained_dg_gcut) as batcher:
+            batcher.generate(20, seed=1)
+        assert threads == [threading.current_thread()] * 2
+
+    def test_queued_requests_finish_in_admission_order(
+            self, monkeypatch, trained_dg_gcut):
+        """With the turn held, three queued requests run (and finish)
+        one at a time in the order they were admitted."""
+        held = _HeldModel(monkeypatch, trained_dg_gcut)
+        with MicroBatcher(trained_dg_gcut) as batcher:
+            first = _Call(batcher, 1, seed=0)
+            assert held.started.wait(10)
+            queued = []
+            for n in (5, 3, 7):
+                queued.append(_Call(batcher, n, seed=n))
+                _await_queued_rows(batcher, 1 + sum(c.n for c in queued))
+            held.release.set()
+            served = [call.result(timeout=30) for call in [first] + queued]
+        assert held.sizes == [1, 5, 3, 7]
+        for call, dataset in zip([first] + queued, served):
+            direct = trained_dg_gcut.generate(
+                call.n, rng=np.random.default_rng(call.seed))
+            assert_datasets_identical(dataset, direct)
+
+    def test_many_threads_never_overlap_passes(self, monkeypatch,
+                                               trained_dg_gcut):
+        """Stress: more callers than cores, switching threads as often
+        as the interpreter allows; no two passes of one model ever run
+        at once and every count balances."""
+        original = type(trained_dg_gcut)._generate_block
+        active, peak = [0], [0]
+
+        def counted(size, noise, cond):
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+            try:
+                return original(trained_dg_gcut, size, noise, cond)
+            finally:
+                active[0] -= 1
+
+        monkeypatch.setattr(trained_dg_gcut, "_generate_block", counted)
+        registry = MetricsRegistry()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with use(registry), MicroBatcher(trained_dg_gcut) as batcher:
+                calls = [_Call(batcher, 1 + seed % 20, seed)
+                         for seed in range(24)]
+                served = [call.result(timeout=120) for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert peak[0] == 1
+        dump = registry.dump()
+        assert dump["counters"]["serve.completed"] == 24
+        assert dump["counters"]["serve.samples"] == sum(
+            call.n for call in calls)
+        assert dump["gauges"]["serve.queue_rows"] == 0
+        for call, dataset in zip(calls, served):
+            direct = trained_dg_gcut.generate(
+                call.n, rng=np.random.default_rng(call.seed))
+            assert_datasets_identical(dataset, direct)
 
 
 class TestBackpressure:
@@ -81,13 +183,13 @@ class TestBackpressure:
         held = _HeldModel(monkeypatch, trained_dg_gcut)
         registry = MetricsRegistry()
         with use(registry), \
-                MicroBatcher(trained_dg_gcut, max_queue_rows=40,
-                             max_wait_ms=0.0) as batcher:
-            first = batcher.submit(16, seed=1)   # occupies the worker
+                MicroBatcher(trained_dg_gcut, max_queue_rows=40) as batcher:
+            first = _Call(batcher, 16, seed=1)   # holds the turn
             assert held.started.wait(10)
-            second = batcher.submit(16, seed=2)  # queued: 32/40 rows
+            second = _Call(batcher, 16, seed=2)  # queued: 32/40 rows
+            _await_queued_rows(batcher, 32)
             with pytest.raises(QueueFull, match="full"):
-                batcher.submit(16, seed=3)       # 48 > 40: shed
+                batcher.generate(16, seed=3)     # 48 > 40: shed
             assert QueueFull.code == "busy"
             assert registry.counter("serve.shed").value == 1
             held.release.set()
@@ -97,23 +199,26 @@ class TestBackpressure:
         assert registry.counter("serve.requests").value == 2
 
     def test_oversized_single_request_is_shed_not_hung(
-            self, monkeypatch, trained_dg_gcut):
+            self, trained_dg_gcut):
         with MicroBatcher(trained_dg_gcut, max_queue_rows=8) as batcher:
             with pytest.raises(QueueFull):
-                batcher.submit(9, seed=0)
+                batcher.generate(9, seed=0)
 
 
 class TestShutdown:
     def test_drain_completes_admitted_work(self, monkeypatch,
                                            trained_dg_gcut):
         held = _HeldModel(monkeypatch, trained_dg_gcut)
-        batcher = MicroBatcher(trained_dg_gcut, max_wait_ms=0.0)
-        first = batcher.submit(16, seed=1)
+        batcher = MicroBatcher(trained_dg_gcut)
+        first = _Call(batcher, 16, seed=1)
         assert held.started.wait(10)
-        second = batcher.submit(16, seed=2)
+        second = _Call(batcher, 16, seed=2)
+        _await_queued_rows(batcher, 32)
         closer = threading.Thread(target=batcher.close,
                                   kwargs={"drain": True})
         closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # waits for the admitted requests
         held.release.set()
         closer.join(timeout=30)
         assert not closer.is_alive()
@@ -125,10 +230,11 @@ class TestShutdown:
     def test_no_drain_fails_queued_requests(self, monkeypatch,
                                             trained_dg_gcut):
         held = _HeldModel(monkeypatch, trained_dg_gcut)
-        batcher = MicroBatcher(trained_dg_gcut, max_wait_ms=0.0)
-        in_flight = batcher.submit(16, seed=1)
+        batcher = MicroBatcher(trained_dg_gcut)
+        in_flight = _Call(batcher, 16, seed=1)
         assert held.started.wait(10)
-        queued = batcher.submit(16, seed=2)
+        queued = _Call(batcher, 16, seed=2)
+        _await_queued_rows(batcher, 32)
         closer = threading.Thread(target=batcher.close,
                                   kwargs={"drain": False})
         closer.start()
@@ -136,14 +242,15 @@ class TestShutdown:
             queued.result(timeout=10)
         held.release.set()
         closer.join(timeout=30)
-        # the block already executing still completes
+        assert not closer.is_alive()
+        # the request already holding the turn still completes
         assert len(in_flight.result(timeout=1)) == 16
 
-    def test_submit_after_close_is_rejected(self, trained_dg_gcut):
+    def test_generate_after_close_is_rejected(self, trained_dg_gcut):
         batcher = MicroBatcher(trained_dg_gcut)
         batcher.close()
         with pytest.raises(BatcherClosed):
-            batcher.submit(1, seed=0)
+            batcher.generate(1, seed=0)
         assert BatcherClosed.code == "shutting_down"
 
     def test_close_is_idempotent(self, trained_dg_gcut):
@@ -165,80 +272,23 @@ class TestFailureIsolation:
             return original(trained_dg_gcut, size, noise, cond)
 
         monkeypatch.setattr(trained_dg_gcut, "_generate_block", flaky)
-        with MicroBatcher(trained_dg_gcut, max_wait_ms=0.0) as batcher:
-            doomed = batcher.submit(4, seed=1)
+        with MicroBatcher(trained_dg_gcut) as batcher:
             with pytest.raises(RuntimeError, match="injected"):
-                doomed.result(timeout=30)
-            # the worker survived and serves the next request
-            healthy = batcher.submit(4, seed=2)
-            assert len(healthy.result(timeout=30)) == 4
+                batcher.generate(4, seed=1)
+            # the failed request gave up its turn; the next one runs
+            assert len(batcher.generate(4, seed=2)) == 4
 
 
 class TestMetrics:
     def test_counters_and_latency_histogram(self, trained_dg_gcut):
         registry = MetricsRegistry()
         with use(registry), MicroBatcher(trained_dg_gcut) as batcher:
-            batcher.submit(20, seed=1).result(timeout=60)
-            batcher.submit(4, seed=2).result(timeout=60)
+            batcher.generate(20, seed=1)
+            batcher.generate(4, seed=2)
         dump = registry.dump()
         assert dump["counters"]["serve.requests"] == 2
         assert dump["counters"]["serve.completed"] == 2
         assert dump["counters"]["serve.samples"] == 24
         assert dump["counters"]["serve.model_passes"] == 3  # 16+4 and 4
-        assert dump["counters"]["serve.batches"] >= 1
         assert dump["histograms"]["serve.latency_seconds"]["count"] == 2
         assert dump["gauges"]["serve.queue_rows"] == 0
-
-
-class TestFlushDeadline:
-    """The partial-bundle flush deadline is anchored to the oldest queued
-    block's admission time and re-derived on every wait iteration."""
-
-    @pytest.fixture
-    def idle_batcher(self, monkeypatch, trained_dg_gcut):
-        # Disable the worker thread so the test can drive _take_bundle
-        # itself with full control over timing.
-        monkeypatch.setattr(MicroBatcher, "_run", lambda self: None)
-        batcher = MicroBatcher(trained_dg_gcut, max_wait_ms=200.0)
-        yield batcher
-        batcher.close(drain=False)
-
-    def test_expired_deadline_flushes_immediately(self, idle_batcher):
-        """A block that already waited past max_wait (e.g. while the
-        worker executed a long bundle) must not be held for another full
-        max_wait once the worker returns to the queue."""
-        import time as _time
-        idle_batcher.submit(4, seed=1)          # partial: 4 < 16 rows
-        _time.sleep(0.35)                       # > max_wait_ms = 200
-        started = _time.monotonic()
-        bundle = idle_batcher._take_bundle()
-        elapsed = _time.monotonic() - started
-        assert bundle.rows == 4
-        assert elapsed < 0.15, (
-            f"stale partial bundle held {elapsed:.3f}s after its deadline")
-
-    def test_spurious_wakeups_do_not_extend_deadline(self, idle_batcher):
-        """Notifies that do not fill the bundle must not reset the flush
-        clock; the head block bounds the total hold time."""
-        import time as _time
-        idle_batcher.submit(4, seed=1)
-        stop = threading.Event()
-
-        def pester():
-            while not stop.is_set():
-                with idle_batcher._lock:
-                    idle_batcher._work.notify()
-                _time.sleep(0.04)
-
-        thread = threading.Thread(target=pester)
-        thread.start()
-        try:
-            started = _time.monotonic()
-            bundle = idle_batcher._take_bundle()
-            elapsed = _time.monotonic() - started
-        finally:
-            stop.set()
-            thread.join()
-        assert bundle.rows == 4
-        assert elapsed < 1.5, (
-            f"flush starved for {elapsed:.3f}s by spurious wakeups")

@@ -23,7 +23,7 @@ def registry(trained_dg_gcut, tmp_path):
 
 
 def _generate(batcher, n, seed):
-    return batcher.submit(n, seed=seed).result(timeout=120)
+    return batcher.generate(n, seed=seed)
 
 
 def test_lru_eviction_with_three_hot_models(registry, trained_dg_gcut):
@@ -98,7 +98,7 @@ def test_replica_service_serves_through_the_cache(registry,
 
 def test_eviction_race_is_retried_inside_handle(registry,
                                                 trained_dg_gcut):
-    """A batcher evicted between lookup and submit surfaces as a
+    """A batcher evicted between lookup and generate surfaces as a
     reload, not an error: force it by closing the looked-up batcher."""
     service = ReplicaService(registry, model_cache=2)
     client = InProcessClient(service)

@@ -161,18 +161,17 @@ class TestOpaqueBatching:
     def test_served_equals_direct_for_hmm(self, hmm_model):
         with MicroBatcher(hmm_model) as batcher:
             assert not batcher._block_mode
-            assert batcher.deterministic
-            served = batcher.submit(7, seed=41).result(timeout=30)
+            served = batcher.generate(7, seed=41)
         direct = hmm_model.generate(7, rng=np.random.default_rng(41))
         assert_datasets_identical(served, direct)
 
     def test_served_equals_direct_for_dlgan(self, dlgan_model):
         with MicroBatcher(dlgan_model) as batcher:
-            served = batcher.submit(9, seed=5).result(timeout=30)
+            served = batcher.generate(9, seed=5)
         direct = dlgan_model.generate(9, rng=np.random.default_rng(5))
         assert_datasets_identical(served, direct)
 
     def test_empty_request_in_opaque_mode(self, hmm_model):
         with MicroBatcher(hmm_model) as batcher:
-            served = batcher.submit(0, seed=1).result(timeout=30)
+            served = batcher.generate(0, seed=1)
         assert len(served) == 0

@@ -97,7 +97,6 @@ class TestGenerateRoundtrip:
             assert client.ping()
             rows = client.models()
         assert rows[0]["spec"] == "gcut@1"
-        assert rows[0]["deterministic"]
         assert "gcut" in rows[0]["aliases"]
 
     def test_concurrent_clients_each_identical(self, server,
@@ -211,7 +210,7 @@ class TestBackpressure:
 
         monkeypatch.setattr(trained_dg_gcut, "_generate_block", held)
         service = GenerationService({"m@1": trained_dg_gcut},
-                                    max_queue_rows=40, max_wait_ms=0.0)
+                                    max_queue_rows=40)
         try:
             with Server(service) as server:
                 background = []
@@ -259,8 +258,7 @@ class TestDrain:
             return original(trained_dg_gcut, size, noise, cond)
 
         monkeypatch.setattr(trained_dg_gcut, "_generate_block", held)
-        service = GenerationService({"m@1": trained_dg_gcut},
-                                    max_wait_ms=0.0)
+        service = GenerationService({"m@1": trained_dg_gcut})
         server = Server(service)
         host, port = server.address
         result = {}
@@ -313,6 +311,25 @@ class TestConnectionBookkeeping:
         server.shutdown(drain=True)
         assert time.monotonic() - started < 5
         assert not server._threads
+
+
+class TestThreads:
+    def test_served_models_start_no_batcher_thread(self, trained_dg_gcut):
+        """Each request runs on its caller's thread: serving three
+        models starts no per-model worker."""
+        before = set(threading.enumerate())
+        service = GenerationService({f"m{i}@1": trained_dg_gcut
+                                     for i in range(3)})
+        try:
+            client = InProcessClient(service)
+            for spec in service.batchers:
+                assert len(client.generate(spec, 4, seed=1)) == 4
+            started = [thread.name for thread in threading.enumerate()
+                       if thread not in before]
+        finally:
+            service.close()
+        assert not [name for name in started
+                    if name.startswith("repro-serve-batcher-")], started
 
 
 class TestInProcessClient:
