@@ -247,9 +247,8 @@ class DGTrainer(AdversarialLoop):
             fake_mb = tuple(Tensor(part.data[sl]) for part in fake)
             loss = self._combined_critic_loss(real_mb, fake_mb)
             grads = grad(loss, self.discriminator_params, allow_unused=True)
-            zeros = [np.zeros_like(p.data) for p in self.discriminator_params]
-            arrays = [g.data if g is not None else z
-                      for g, z in zip(grads, zeros)]
+            arrays = [g.data if g is not None else np.zeros_like(p.data)
+                      for g, p in zip(grads, self.discriminator_params)]
             per_microbatch.append(arrays)
             losses.append(loss.item())
         noised = self._dp_processor.aggregate(per_microbatch)
