@@ -38,7 +38,8 @@ import numpy as np
 
 from repro.backends.base import GeneratorBackend, get_backend
 from repro.baselines.base import make_baseline_encoder
-from repro.core.adversarial import FitOptions, MLPGANLoop, TrainingHistory
+from repro.core.adversarial import (FitOptions, MLPGANLoop,
+                                    TrainingHistory, architecture_key)
 from repro.core.generator import BlockActivation, OutputBlock
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.schema import DataSchema
@@ -269,6 +270,7 @@ class DLGAN:
         self.history = history = TrainingHistory.windowed(
             options.history_window)
         n_iter = cfg.iterations
+        arch = architecture_key(_config_to_dict(cfg), self.schema)
         for index, (generator, activation, critic, noise_dim, cond_dim,
                     rows) in enumerate(stages):
             start, stop = index * n_iter, (index + 1) * n_iter
@@ -276,7 +278,8 @@ class DLGAN:
                 continue  # finished before the checkpoint was written
             loop = MLPGANLoop(self._named_modules(), generator, activation,
                               critic, rng, noise_dim=noise_dim,
-                              cond_dim=cond_dim, **common)
+                              cond_dim=cond_dim, plan_key=f"{arch}:{index}",
+                              **common)
             stage_options = options
             if not start < resumed_at <= stop:
                 stage_options = dataclasses.replace(options,

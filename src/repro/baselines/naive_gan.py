@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import GenerativeModel, make_baseline_encoder
-from repro.core.adversarial import FitOptions, MLPGANLoop, TrainingHistory
+from repro.core.adversarial import (FitOptions, MLPGANLoop,
+                                    TrainingHistory, architecture_key)
 from repro.core.generator import BlockActivation, OutputBlock
 from repro.data.dataset import TimeSeriesDataset
 from repro.nn import MLP, Tensor, no_grad
@@ -107,7 +108,8 @@ class NaiveGANBaseline(GenerativeModel):
             batch_size=min(self.batch_size, n),
             learning_rate=self.learning_rate,
             gradient_penalty_weight=self.gradient_penalty_weight,
-            seed=self.seed)
+            seed=self.seed,
+            plan_key=architecture_key(self._config(), self.schema))
         self.history = TrainingHistory.windowed(
             options.history_window if options else None)
         loop.train(flat_real, self.iterations, log_every=1, options=options,

@@ -26,8 +26,8 @@ for flat-row MLP GANs (the naive GAN, DLGAN's stages);
 
 from __future__ import annotations
 
+import hashlib
 import os
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from repro.core.losses import critic_loss_and_estimate, generator_loss
 from repro.nn import Adam, Tensor, grad, no_grad, ops
 from repro.nn.optim import clip_grad_norm, grad_norm
-from repro.nn.plan import PlanFunction
+from repro.nn.plan import PlanFunction, method_plan
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
 from repro.observability.metrics import LOSS_BUCKETS, NORM_BUCKETS
@@ -46,7 +46,21 @@ from repro.resilience.sentinel import (DivergenceDetected,
                                        DivergenceSentinel, TrainingDiverged)
 
 __all__ = ["FitOptions", "TrainingHistory", "AdversarialLoop",
-           "MLPGANLoop"]
+           "MLPGANLoop", "architecture_key"]
+
+
+def architecture_key(config: dict, schema, *parts) -> str:
+    """A digest of what a model's step functions compute: its ``config``
+    dict minus the seed and iteration count (which no step reads), its
+    ``schema`` (which fixes the output-activation layout), and any
+    further JSON-able ``parts``."""
+    from repro.data.schema import schema_to_dict
+    from repro.resilience.atomic import canonical_json
+
+    config = {k: v for k, v in config.items()
+              if k not in ("seed", "iterations")}
+    text = canonical_json([config, schema_to_dict(schema), list(parts)])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -160,6 +174,11 @@ class AdversarialLoop:
     #: Critic updates per generator update.
     discriminator_steps = 1
 
+    #: What the step functions compute, independently of the weights
+    #: (:func:`architecture_key`); loops with equal keys and parameter
+    #: shapes share compiled plan programs.  ``None`` never shares.
+    plan_key: str | None = None
+
     def __init__(self, modules: dict, generator_params: list,
                  discriminator_params: list, rng: np.random.Generator, *,
                  learning_rate: float,
@@ -198,18 +217,9 @@ class AdversarialLoop:
     # schedule.
 
     def _plan(self, attr: str, fn) -> PlanFunction:
-        plan = self.__dict__.get(attr)
-        if plan is None:
-            # The plan reaches its loop only weakly: a strong reference
-            # would make every finished loop a reference cycle that keeps
-            # its arenas alive until a full garbage-collection pass.
-            method = weakref.WeakMethod(fn)
-            plan = PlanFunction(
-                lambda *inputs: method()(*inputs),
-                params=self.generator_params + self.discriminator_params,
-                name=attr.strip("_"))
-            self.__dict__[attr] = plan
-        return plan
+        return method_plan(self, attr, fn,
+                           self.generator_params + self.discriminator_params,
+                           key=self.plan_key)
 
     def _apply(self, optimizer, grads, clip_norm: float | None = None):
         """Clip, apply one optimizer update; returns the applied gradient
@@ -430,7 +440,7 @@ class MLPGANLoop(AdversarialLoop):
                  rng: np.random.Generator, *, noise_dim: int,
                  batch_size: int, learning_rate: float,
                  gradient_penalty_weight: float, seed: int,
-                 cond_dim: int = 0):
+                 cond_dim: int = 0, plan_key: str | None = None):
         super().__init__(modules, generator.parameters(),
                          critic.parameters(), rng,
                          learning_rate=learning_rate)
@@ -442,6 +452,7 @@ class MLPGANLoop(AdversarialLoop):
         self.gradient_penalty_weight = gradient_penalty_weight
         self.seed = seed
         self.cond_dim = cond_dim
+        self.plan_key = plan_key
         self._cond = ()
 
     def _fake(self, cond, z) -> Tensor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import weakref
 
 import numpy as np
 
@@ -20,13 +19,14 @@ from repro.core.discriminator import AuxiliaryDiscriminator, Discriminator
 from repro.core.generator import (AttributeGenerator, FeatureGenerator,
                                   MinMaxGenerator, OutputBlock,
                                   continuous_kind)
-from repro.core.adversarial import FitOptions
+from repro.core.adversarial import FitOptions, architecture_key
 from repro.core.trainer import (AttributeRetrainer, DGTrainer,
                                 TrainingHistory)
 from repro.data.dataset import TimeSeriesDataset
 from repro.data.encoding import DataEncoder
 from repro.data.schema import DataSchema
 from repro.nn import Tensor, no_grad
+from repro.nn.plan import method_plan
 
 __all__ = ["DoppelGANger", "config_to_dict", "config_from_dict"]
 
@@ -102,7 +102,8 @@ class DoppelGANger:
         self.trainer = DGTrainer(
             self.attribute_generator, self.minmax_generator,
             self.feature_generator, self.discriminator,
-            self.aux_discriminator, cfg, rng)
+            self.aux_discriminator, cfg, rng,
+            plan_key=architecture_key(config_to_dict(cfg), self.schema))
         self._built = True
 
     # -- training ------------------------------------------------------------
@@ -225,22 +226,12 @@ class DoppelGANger:
         return (z_a, z_m, z_f)
 
     def _block_plan(self, attr: str, fn):
-        """Lazily build a generation :class:`PlanFunction` (serving hot
-        path).  ``copy_outputs=True`` because callers retain the arrays
-        across blocks (they are concatenated after all blocks run)."""
-        plan = self.__dict__.get(attr)
-        if plan is None:
-            from repro.nn.plan import PlanFunction
-            # Weakly, as AdversarialLoop._plan: a plan holding its model
-            # would make every model that has generated a reference cycle
-            # that keeps its trainer, plans and arenas alive until a full
-            # garbage-collection pass.
-            method = weakref.WeakMethod(fn)
-            plan = PlanFunction(lambda *inputs: method()(*inputs),
-                                params=self.trainer.generator_params,
-                                name=attr.strip("_"), copy_outputs=True)
-            self.__dict__[attr] = plan
-        return plan
+        """Lazily build a generation plan (serving hot path), shared
+        across models of one architecture.  ``copy_outputs=True`` because
+        callers retain the arrays across blocks (they are concatenated
+        after all blocks run)."""
+        return method_plan(self, attr, fn, self.trainer.generator_params,
+                           key=self.trainer.plan_key, copy_outputs=True)
 
     def _uncond_block_fn(self, z_a, z_m, z_f):
         with no_grad():

@@ -36,7 +36,8 @@ class DGTrainer(AdversarialLoop):
                  feature_generator: FeatureGenerator,
                  discriminator: Discriminator,
                  aux_discriminator: AuxiliaryDiscriminator | None,
-                 config: DGConfig, rng: np.random.Generator):
+                 config: DGConfig, rng: np.random.Generator,
+                 plan_key: str | None = None):
         self.attribute_generator = attribute_generator
         self.minmax_generator = minmax_generator
         self.feature_generator = feature_generator
@@ -60,6 +61,7 @@ class DGTrainer(AdversarialLoop):
                          discriminator_params, rng,
                          learning_rate=config.learning_rate,
                          betas=config.adam_betas)
+        self.plan_key = plan_key
         self._dp_processor = None
         if config.dp is not None:
             self._dp_processor = DPGradientProcessor(
@@ -311,6 +313,7 @@ class AttributeRetrainer(AdversarialLoop):
                          learning_rate=trainer.config.learning_rate,
                          betas=trainer.config.adam_betas)
         self.trainer = trainer
+        self.plan_key = trainer.plan_key
         self.seed = trainer.config.seed
         self.batch_size = batch_size
         self._zeros = (np.zeros((batch_size, minmax_dim)),

@@ -35,7 +35,11 @@ def train_mlp(net: MLP, inputs: np.ndarray, targets: np.ndarray, loss_fn,
         loss = loss_fn(net(Tensor(x)), t)
         return (loss,) + tuple(grad(loss, params))
 
-    plan = PlanFunction(step, params=params, name="downstream_mlp")
+    # Nets of one activation and loss share compiled programs; the plan
+    # adds the layer sizes (the parameter shapes) to this key.
+    plan = PlanFunction(step, params=params, name="downstream_mlp",
+                        key=("train_mlp", net.activation, loss_fn.__module__,
+                             loss_fn.__qualname__))
     size = min(batch_size, len(inputs))
     for _ in range(iterations):
         idx = rng.integers(0, len(inputs), size=size)

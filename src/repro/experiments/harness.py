@@ -178,6 +178,19 @@ def get_model(dataset_name: str, model_name: str, scale: BenchScale = BENCH,
                        seed=seed, **config_overrides)
 
 
+def _model_key(dataset_name: str, model_name: str, scale: BenchScale,
+               cache_tag: str, seed: int | None, config_overrides: dict,
+               train_data=None) -> tuple:
+    """The memo key of :func:`train_model`'s model for these arguments."""
+    from repro.backends import get_backend
+    from repro.parallel.cache import dataset_fingerprint
+
+    return (dataset_name, get_backend(model_name).name, scale, cache_tag,
+            seed, tuple(sorted(config_overrides.items())),
+            dataset_fingerprint(train_data) if train_data is not None
+            else None)
+
+
 def train_model(on_failure, dataset_name: str, model_name: str,
                 scale: BenchScale = BENCH, train_data=None,
                 cache_tag: str = "", seed: int | None = None,
@@ -190,18 +203,12 @@ def train_model(on_failure, dataset_name: str, model_name: str,
     sweep's cells use this so that the parent process records each
     failure exactly once, wherever the cell ran.
     """
-    from repro.backends import get_backend
-    from repro.parallel.cache import dataset_fingerprint
-
     # monotonic: wall-clock adjustments must not produce negative elapsed
     # (matches serve/batcher.py timing).
     model, started = None, time.monotonic()
     try:
-        backend = get_backend(model_name)
-        key = (dataset_name, backend.name, scale, cache_tag, seed,
-               tuple(sorted(config_overrides.items())),
-               dataset_fingerprint(train_data) if train_data is not None
-               else None)
+        key = _model_key(dataset_name, model_name, scale, cache_tag, seed,
+                         config_overrides, train_data)
         if key in _MODELS:
             return _MODELS[key]
         data = train_data if train_data is not None else get_dataset(
@@ -263,7 +270,10 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
     added to :func:`get_failures` once; with ``isolate=False`` the first
     one in cell order then raises.  Each model is decoded from the
     archive bytes its cell returned, whether it trained inline, in a
-    worker or came from the cache.
+    worker or came from the cache.  A cell that trained inline left its
+    model in this process's memo; the decoded model replaces it there, so
+    the process keeps one copy and a repeated sweep still does not
+    retrain.
     """
     from repro.backends import read_model
     from repro.parallel.sweep import run_cells
@@ -271,10 +281,15 @@ def _run_sweep_cells(cells, scale, config_overrides: dict, workers: int,
     result = SweepResult()
     outcomes = run_cells(cells, scale, config_overrides, workers=workers,
                          cache_dir=cache_dir, telemetry=telemetry)
-    for outcome in outcomes:
+    for cell, outcome in zip(cells, outcomes):
         result.timings[outcome.label] = outcome.timing
         if outcome.failure is None:
-            result.models[outcome.label] = read_model(outcome.blob)[0]
+            model = result.models[outcome.label] = read_model(
+                outcome.blob)[0]
+            key = _model_key(cell.dataset, cell.model, scale, "", cell.seed,
+                             config_overrides)
+            if key in _MODELS:
+                _MODELS[key] = model
             continue
         _FAILURES.append(outcome.failure)
         if not isolate:

@@ -19,14 +19,15 @@ replaying the recorded op schedule afterwards:
    time, the *backward* pass is captured by the same shims -- the plan
    covers forward, loss, and gradients in one schedule.
 2. **Replay** -- subsequent calls with the same signature execute the
-   recorded schedule directly against a preallocated arena: in-place
+   recorded schedule directly against a preallocated arena (the
+   program's *binding*, below): in-place
    ``out=`` ufunc and BLAS calls, no Tensor/tape construction, no per-step
    allocation.  Every replay expression is chosen to be **bit-identical**
    to its eager counterpart (verified property-by-property in
    ``tests/nn/test_plan.py``), so compiled and eager runs produce the same
    bytes.
-3. **Fallback** -- any new input signature (shape/dtype change)
-   re-traces; anything the tracer cannot prove safe (unconsumed inputs,
+3. **Fallback** -- any new input signature (shape/dtype change) binds
+   its cached program or traces anew; anything the tracer cannot prove safe (unconsumed inputs,
    aliased outputs, too many signatures) permanently falls back to eager
    execution for that signature.  Correctness never depends on the plan:
    the trace itself *is* an eager run.  ``with plan_mode(False):`` runs
@@ -51,7 +52,7 @@ Tracing rules (what the shims record):
   literals.  Model parameters are re-read live (``p.data``) at every
   replay, so optimizer updates and checkpoint restores are honoured.
 
-Building a plan (``_PlanBuilder``):
+Building a program (``_PlanBuilder``):
 
 - **Dead steps.**  One backward liveness pass from the returned slots
   keeps only the steps something returned depends on.  A traced gradient
@@ -66,17 +67,41 @@ Building a plan (``_PlanBuilder``):
   live ranges do not overlap share storage; a step's own scratch --
   including the LSTM kernels' projection, gate and BPTT buffers --
   returns right after it.  Returned slots and the storage they view are
-  never pooled.  The eager intermediates the trace held are released
-  before the arena is allocated.
+  never pooled.  The builder only lays the buffers out (which flat
+  buffer, which shape); none is allocated until a model binds.
 
-Arena lifetime: each plan owns its buffers for as long as the
-:class:`PlanFunction` is alive (:meth:`PlanFunction.arena_bytes` reports
-their size).  Replay outputs may alias arena storage -- they are valid
-until the next replay of the same plan, and nothing else in the plan
-writes to them.  Callers that retain outputs across calls (e.g. the
-serving batcher) construct the plan with ``copy_outputs=True``; outputs
-that alias constant or parameter storage are always copied so in-place
-consumers cannot corrupt the plan.
+Programs and bindings:
+
+- A **program** (``_Program``) is the kept steps, their run closures,
+  the arena layout (slot views and kernel workspaces over the pooled
+  flat buffers) and the frozen constants.  Every closure reads and
+  writes only ``arena[i]``, so a program belongs to no model.
+- A **binding** (``_Binding``) is one model's arena: freshly allocated
+  flat buffers with their slot views, the LSTM workspace dicts, the
+  program's constants (read-only, shared) and that model's Parameters,
+  mapped by position in the plan's ``params``.  An arena entry is just
+  an array, so a later binding could point an output slot at an external
+  view (say, a flat gradient buffer) without touching the program.
+- **Sharing.**  A plan built with a ``key`` (its owner's architecture:
+  step name, config, schema digest; see :func:`method_plan`) looks up
+  ``(key, parameter shapes, input signature, copy_outputs)`` in a
+  bounded process-wide cache before tracing.  On a hit it only binds:
+  no eager trace pass and no builder run, and its first call replays.
+  Models of one architecture trace the same schedule step for step, so
+  the hit replays exactly what a fresh trace would have built.  The
+  cache holds programs only -- no buffers, no Parameters -- so it keeps
+  no model alive, and two bindings of one program replay concurrently
+  on two threads.  A plan without a key never shares.
+
+Arena lifetime: a binding's buffers live as long as its
+:class:`PlanFunction` (:meth:`PlanFunction.arena_bytes` reports their
+size); a cached program lives until the cache evicts it or
+:func:`clear_program_cache`.  Replay outputs may alias arena storage --
+they are valid until the next replay of the same plan, and nothing else
+in the plan writes to them.  Callers that retain outputs across calls
+(e.g. generation, whose blocks are concatenated) construct the plan with
+``copy_outputs=True``; outputs that alias constant or parameter storage
+are always copied so in-place consumers cannot corrupt the program.
 """
 
 from __future__ import annotations
@@ -84,6 +109,8 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -91,7 +118,8 @@ from repro.nn import kernels, ops
 from repro.nn.profiler import PROFILER
 from repro.nn.tensor import Tensor
 
-__all__ = ["PlanFunction", "PlanUnsupported", "plan_mode"]
+__all__ = ["PlanFunction", "PlanUnsupported", "plan_mode", "method_plan",
+           "clear_program_cache"]
 
 
 class PlanUnsupported(Exception):
@@ -201,8 +229,7 @@ class _Tracer:
         self.const_slots: dict[int, np.ndarray] = {}  # slot -> snapshot
         self.input_slots: list[int] = []
         self.input_ids: set[int] = set()
-        self.param_refs: list[tuple[int, Tensor]] = []
-        self.param_ids: set[int] = set()
+        self.param_slots: list[tuple[int, int]] = []  # (slot, position)
         self.used_slots: set[int] = set()
         self.view_root: dict[int, int] = {}  # view slot -> storage root slot
 
@@ -230,12 +257,10 @@ class _Tracer:
             self.input_ids.add(id(arr))
 
     def seed_params(self, params) -> None:
-        for p in params:
+        for position, p in enumerate(params):
             if id(p.data) in self.slot_of:
                 continue  # parameter also passed as input; input wins
-            slot = self._new_slot(p.data)
-            self.param_refs.append((slot, p))
-            self.param_ids.add(id(p.data))
+            self.param_slots.append((self._new_slot(p.data), position))
 
     def _ref_of(self, value):
         if isinstance(value, Tensor):
@@ -375,33 +400,39 @@ def _static_arg(step: _Step, position: int, keyword: str, default=None):
 
 
 class _PlanBuilder:
-    """Turns a completed trace into pooled buffers + run closures (see
-    "Building a plan" in the module docstring)."""
+    """Turns a completed trace into a :class:`_Program`: the kept steps,
+    their run closures and the layout of the arena they run on (see
+    "Building a plan" in the module docstring).
+
+    Every closure reads and writes only ``arena[i]``; the buffers behind
+    those indices are allocated per model when a program is bound.
+    """
 
     def __init__(self, tracer: _Tracer, outputs, copy_outputs: bool):
         self.tracer = tracer
-        self.arena: list = [None] * tracer.n_slots
-        self.arena_bytes = 0
-        for slot, snapshot in tracer.const_slots.items():
-            self.arena[slot] = snapshot
-            self.arena_bytes += snapshot.nbytes
+        self.n_arena = tracer.n_slots
+        self.consts = list(tracer.const_slots.items())
+        self.arena_bytes = sum(c.nbytes for _, c in self.consts)
+        self.flats: list[tuple[int, np.dtype]] = []   # pooled buffers
+        self.views: list[tuple] = []       # (index, flat, size, shape)
+        self.workspaces: list[tuple] = []  # (index, name -> view spec)
         self.out_refs = self._resolve_outputs(outputs, copy_outputs)
-        steps = self._live_steps()
-        release = self._release_points(steps)
-        self._pool: dict[tuple, list] = {}
-        self._owned: dict[int, np.ndarray] = {}   # slot -> pooled buffer
-        self._scratch_bufs: list = []
+        self.steps = self._live_steps()
+        release = self._release_points(self.steps)
+        self._pool: dict[np.dtype, list[int]] = {}
+        self._owned: dict[int, int] = {}   # slot -> pooled flat buffer
+        self._scratch_flats: list[int] = []
         self.schedule: list[tuple] = []
-        for index, step in enumerate(steps):
+        for index, step in enumerate(self.steps):
             name, run, allocs = self._build_step(step)
             self.schedule.append((_DISPLAY.get(name, name), run, allocs))
-            for buf in self._scratch_bufs:
-                self._give_back(buf)
-            self._scratch_bufs.clear()
+            for flat in self._scratch_flats:
+                self._give_back(flat)
+            self._scratch_flats.clear()
             for slot in release.get(index, ()):
-                buf = self._owned.pop(slot, None)
-                if buf is not None:
-                    self._give_back(buf)
+                flat = self._owned.pop(slot, None)
+                if flat is not None:
+                    self._give_back(flat)
 
     # liveness ----------------------------------------------------------------
     def _live_steps(self) -> list:
@@ -441,7 +472,7 @@ class _PlanBuilder:
     # output resolution ------------------------------------------------------
     def _resolve_outputs(self, outputs, copy_outputs):
         tr = self.tracer
-        protected = (set(tr.const_slots) | {s for s, _ in tr.param_refs}
+        protected = (set(tr.const_slots) | {s for s, _ in tr.param_slots}
                      | set(tr.input_slots))
         refs = []
         for out in outputs:
@@ -457,41 +488,52 @@ class _PlanBuilder:
             refs.append((slot, copy_outputs or root in protected))
         return refs
 
-    # step builders ----------------------------------------------------------
-    def _take(self, shape, dtype) -> np.ndarray:
-        """A contiguous buffer of ``shape``: a view of the smallest free
+    # buffer layout ------------------------------------------------------------
+    def _take(self, shape, dtype) -> int:
+        """The flat buffer serving a contiguous ``shape``: the smallest free
         pooled buffer of that dtype that is large enough (and at most
         ``_MAX_REUSE_RATIO`` times larger), or a new one."""
         size = int(np.prod(shape, dtype=np.int64))
-        free = self._pool.setdefault(np.dtype(dtype), [])
+        dtype = np.dtype(dtype)
+        free = self._pool.setdefault(dtype, [])
         fits = [i for i, flat in enumerate(free)
-                if size <= flat.size <= _MAX_REUSE_RATIO * size]
+                if size <= self.flats[flat][0] <= _MAX_REUSE_RATIO * size]
         if fits:
-            flat = free.pop(min(fits, key=lambda i: free[i].size))
-        else:
-            flat = np.empty(size, dtype=dtype)
-            self.arena_bytes += flat.nbytes
-        return flat[:size].reshape(shape)
+            return free.pop(min(fits, key=lambda i: self.flats[free[i]][0]))
+        self.flats.append((size, dtype))
+        self.arena_bytes += size * dtype.itemsize
+        return len(self.flats) - 1
 
-    def _give_back(self, buf: np.ndarray) -> None:
-        self._pool[buf.dtype].append(buf.base)
+    def _give_back(self, flat: int) -> None:
+        self._pool[self.flats[flat][1]].append(flat)
 
-    def _buf(self, slot: int, meta) -> np.ndarray:
-        """The pooled output buffer of ``slot``."""
+    def _new_index(self) -> int:
+        self.n_arena += 1
+        return self.n_arena - 1
+
+    def _view(self, index: int, flat: int, shape) -> int:
+        shape = tuple(shape)
+        self.views.append((index, flat, int(np.prod(shape, dtype=np.int64)),
+                           shape))
+        return index
+
+    def _buf(self, slot: int, meta) -> int:
+        """Lays out the pooled output buffer of ``slot``; returns ``slot``."""
         shape, dtype, _ = meta
-        buf = self._take(shape, dtype)
-        self._owned[slot] = buf
-        self.arena[slot] = buf
-        return buf
+        flat = self._take(shape, dtype)
+        self._owned[slot] = flat
+        return self._view(slot, flat, shape)
 
-    def _scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        """A pooled buffer used only inside the step being built."""
-        buf = self._take(shape, dtype)
-        self._scratch_bufs.append(buf)
-        return buf
+    def _scratch(self, shape, dtype=np.float64) -> int:
+        """The arena index of a pooled buffer used only inside the step
+        being built."""
+        flat = self._take(shape, dtype)
+        self._scratch_flats.append(flat)
+        return self._view(self._new_index(), flat, shape)
 
-    def _workspace(self, layout: dict, step: _Step, outputs: dict) -> dict:
-        """A kernel workspace for ``layout`` (name -> (shape, dtype)).
+    def _workspace(self, layout: dict, step: _Step, outputs: dict) -> int:
+        """The arena index of a kernel workspace for ``layout`` (name ->
+        (shape, dtype)).
 
         ``outputs`` maps the names that hold the step's results to their
         output index: those are the pooled buffers of the output slots
@@ -502,12 +544,19 @@ class _PlanBuilder:
         for name, (shape, dtype) in layout.items():
             index = outputs.get(name)
             if index is None:
-                ws[name] = self._scratch(shape, dtype)
+                flat = self._take(shape, dtype)
+                self._scratch_flats.append(flat)
             else:
-                ws[name] = self._buf(step.out_slots[index],
-                                     step.out_meta[index]).reshape(shape)
-        return ws
+                slot = step.out_slots[index]
+                self._buf(slot, step.out_meta[index])
+                flat = self._owned[slot]
+            shape = tuple(shape)
+            ws[name] = (flat, int(np.prod(shape, dtype=np.int64)), shape)
+        index = self._new_index()
+        self.workspaces.append((index, ws))
+        return index
 
+    # step builders ----------------------------------------------------------
     def _operand(self, ref):
         """Returns (is_slot, slot_or_literal)."""
         return (True, ref[1]) if ref[0] == "s" else (False, ref[1])
@@ -530,49 +579,49 @@ class _PlanBuilder:
 
     def _binary(self, step, ufunc):
         (sa, a), (sb, b) = map(self._operand, step.in_refs)
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
         if sa and sb:
             def run(arena):
-                ufunc(arena[a], arena[b], out=buf)
+                ufunc(arena[a], arena[b], out=arena[o])
         elif sa:
             def run(arena):
-                ufunc(arena[a], b, out=buf)
+                ufunc(arena[a], b, out=arena[o])
         else:
             def run(arena):
-                ufunc(a, arena[b], out=buf)
+                ufunc(a, arena[b], out=arena[o])
         return run, 0
 
     def _unary(self, step, ufunc):
         _, a = self._operand(step.in_refs[0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            ufunc(arena[a], out=buf)
+            ufunc(arena[a], out=arena[o])
         return run, 0
 
     def _build_relu(self, step):
         _, a = self._operand(step.in_refs[0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            np.maximum(arena[a], 0.0, out=buf)
+            np.maximum(arena[a], 0.0, out=arena[o])
         return run, 0
 
     def _build_power(self, step):
         _, a = self._operand(step.in_refs[0])
         exponent = float(_static_arg(step, 0, "exponent"))
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            np.power(arena[a], exponent, out=buf)
+            np.power(arena[a], exponent, out=arena[o])
         return run, 0
 
     def _build_matmul(self, step):
         (_, a), (_, b) = map(self._operand, step.in_refs)
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            np.matmul(arena[a], arena[b], out=buf)
+            np.matmul(arena[a], arena[b], out=arena[o])
         return run, 0
 
     def _build_sum(self, step):
@@ -581,12 +630,12 @@ class _PlanBuilder:
         axes = ops._normalize_axis(_static_arg(step, 0, "axis"), ndim)
         axis_arg = axes or None
         keepdims = bool(_static_arg(step, 1, "keepdims", False))
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
             # np.sum's exact reduction path, minus its Python wrapper.
             np.add.reduce(arena[a], axis=axis_arg, keepdims=keepdims,
-                          out=buf)
+                          out=arena[o])
         return run, 0
 
     def _build_reshape(self, step):
@@ -614,19 +663,20 @@ class _PlanBuilder:
 
     def _build_broadcast_to(self, step):
         _, a = self._operand(step.in_refs[0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            np.copyto(buf, arena[a])
+            np.copyto(arena[o], arena[a])
         return run, 0
 
     def _build_concat(self, step):
         slots = [self._operand(r)[1] for r in step.in_refs]
         axis = int(_static_arg(step, 0, "axis", 0)) % len(step.in_meta[0][0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            np.concatenate([arena[s] for s in slots], axis=axis, out=buf)
+            np.concatenate([arena[s] for s in slots], axis=axis,
+                           out=arena[o])
         return run, 0
 
     def _build_getitem(self, step):
@@ -643,56 +693,60 @@ class _PlanBuilder:
         _, a = self._operand(step.in_refs[0])
         indices = _static_arg(step, 0, "indices")
         axis = _static_arg(step, 1, "axis", -1)
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            # mode="wrap" writes straight into ``buf``; the default mode
-            # buffers the result first.  The recorded indices are in range,
-            # so the modes select the same elements.
-            np.take(arena[a], indices, axis=axis, out=buf, mode="wrap")
+            # mode="wrap" writes straight into the output; the default
+            # mode buffers the result first.  The recorded indices are in
+            # range, so the modes select the same elements.
+            np.take(arena[a], indices, axis=axis, out=arena[o], mode="wrap")
         return run, 0
 
     def _build_scatter(self, step):
         _, g = self._operand(step.in_refs[0])
         index = _static_arg(step, 0, "index")
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
+            buf = arena[o]
             buf.fill(0.0)
             np.add.at(buf, index, arena[g])
         return run, 0
 
     def _build_sigmoid_stable(self, step):
         _, a = self._operand(step.in_refs[0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
-        tmp = self._scratch(buf.shape, buf.dtype)
-        mask = self._scratch(buf.shape, bool)
+        shape = step.out_meta[0][0]
+        o = self._buf(step.out_slots[0], step.out_meta[0])
+        tmp = self._scratch(shape, step.out_meta[0][1])
+        mask = self._scratch(shape, bool)
 
         def run(arena):
-            kernels._sigmoid_into(arena[a], buf, tmp, mask)
+            kernels._sigmoid_into(arena[a], arena[o], arena[tmp],
+                                  arena[mask])
         return run, 0
 
     def _build_relu_mask(self, step):
         _, a = self._operand(step.in_refs[0])
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
-        mask = self._scratch(buf.shape, bool)
+        o = self._buf(step.out_slots[0], step.out_meta[0])
+        mask = self._scratch(step.out_meta[0][0], bool)
 
         def run(arena):
-            np.greater(arena[a], 0, out=mask)
-            np.copyto(buf, mask)
+            np.greater(arena[a], 0, out=arena[mask])
+            np.copyto(arena[o], arena[mask])
         return run, 0
 
     def _cmp_masks(self, step, ufunc):
         (sa, a), (sb, b) = map(self._operand, step.in_refs)
-        buf_a = self._buf(step.out_slots[0], step.out_meta[0])
-        buf_b = self._buf(step.out_slots[1], step.out_meta[1])
-        mask = self._scratch(buf_a.shape, bool)
+        oa = self._buf(step.out_slots[0], step.out_meta[0])
+        ob = self._buf(step.out_slots[1], step.out_meta[1])
+        m = self._scratch(step.out_meta[0][0], bool)
 
         def run(arena):
+            mask = arena[m]
             ufunc(arena[a] if sa else a, arena[b] if sb else b, out=mask)
-            np.copyto(buf_a, mask)
+            np.copyto(arena[oa], mask)
             np.logical_not(mask, out=mask)
-            np.copyto(buf_b, mask)
+            np.copyto(arena[ob], mask)
         return run, 0
 
     def _build_ge_masks(self, step):
@@ -705,20 +759,21 @@ class _PlanBuilder:
         _, a = self._operand(step.in_refs[0])
         axis = _static_arg(step, 0, "axis")
         keepdims = bool(_static_arg(step, 1, "keepdims", False))
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
             # np.amax's exact reduction path, minus its Python wrapper.
             np.maximum.reduce(arena[a], axis=axis, keepdims=keepdims,
-                              out=buf)
+                              out=arena[o])
         return run, 0
 
     def _build_linear_forward(self, step):
         x, w, b = (self._operand(r)[1] for r in step.in_refs)
-        buf = self._buf(step.out_slots[0], step.out_meta[0])
+        o = self._buf(step.out_slots[0], step.out_meta[0])
 
         def run(arena):
-            kernels._linear_forward(arena[x], arena[w], arena[b], out=buf)
+            kernels._linear_forward(arena[x], arena[w], arena[b],
+                                    out=arena[o])
         return run, 0
 
     def _assign_outputs(self, slots):
@@ -758,7 +813,7 @@ class _PlanBuilder:
         # arithmetic, ~7 fewer array copies per timestep, no cache arrays.
         need_cache = any(s in self.live_slots for s in step.out_slots[1:])
         outputs = ("h_out",) + (kernels._SEQ_CACHES if need_cache else ())
-        ws = self._workspace(
+        w = self._workspace(
             kernels._lstm_seq_layout(batch, steps_, in_dim, n, need_cache),
             step, {name: index for index, name in enumerate(outputs)})
         if need_cache:
@@ -766,65 +821,106 @@ class _PlanBuilder:
 
             def run(arena):
                 assign(arena, kernels._lstm_seq_forward(
-                    *(arena[s] for s in ins), ws=ws))
+                    *(arena[s] for s in ins), ws=arena[w]))
         else:
             h_slot = step.out_slots[0]
 
             def run(arena):
                 arena[h_slot] = kernels._lstm_seq_forward(
-                    *(arena[s] for s in ins), ws=ws, need_cache=False)[0]
+                    *(arena[s] for s in ins), ws=arena[w],
+                    need_cache=False)[0]
         return run, 0
 
     def _build_lstm_seq_backward(self, step):
         ins = [self._operand(r)[1] for r in step.in_refs]
         batch, steps_, in_dim = step.in_meta[1][0]
         n = step.in_meta[4][0][2]
-        ws = self._workspace(
+        w = self._workspace(
             kernels._lstm_seq_bwd_layout(batch, steps_, in_dim, n), step,
             {name: index for index, name in enumerate(_SEQ_BWD_OUTPUTS)})
         assign = self._assign_outputs(step.out_slots)
 
         def run(arena):
             assign(arena, kernels._lstm_seq_backward(
-                *(arena[s] for s in ins), ws=ws))
+                *(arena[s] for s in ins), ws=arena[w]))
         return run, 0
 
 
-class _Plan:
-    """A compiled schedule bound to its preallocated arena."""
+class _Program:
+    """A compiled schedule and the layout of the arena it runs on.
 
-    __slots__ = ("schedule", "arena", "input_slots", "param_refs",
+    Holds no buffers and no parameters, so one program serves every
+    model whose owner key, parameter shapes, input signature and output
+    copying match; :meth:`bind` gives one model its own arena.
+    ``consts`` are the frozen ``(slot, array)`` snapshots every binding
+    reads (never writes).  The trace records are not kept.
+    """
+
+    __slots__ = ("schedule", "n_arena", "consts", "flats",
+                 "views", "workspaces", "input_slots", "param_slots",
                  "out_refs", "allocs_per_replay", "arena_bytes")
 
     def __init__(self, builder: _PlanBuilder):
         self.schedule = builder.schedule
-        self.arena = builder.arena
-        self.arena_bytes = builder.arena_bytes
+        self.n_arena = builder.n_arena
+        self.consts = builder.consts
+        self.flats = builder.flats
+        self.views = builder.views
+        self.workspaces = builder.workspaces
         self.input_slots = builder.tracer.input_slots
-        self.param_refs = builder.tracer.param_refs
+        self.param_slots = builder.tracer.param_slots
         self.out_refs = builder.out_refs
+        self.arena_bytes = builder.arena_bytes
         self.allocs_per_replay = (
             sum(allocs for _, _, allocs in self.schedule)
             + sum(1 for ref in self.out_refs if ref is not None and ref[1]))
 
+    def bind(self, params) -> "_Binding":
+        return _Binding(self, params)
+
+
+class _Binding:
+    """One model's arena for a :class:`_Program`: freshly allocated pooled
+    buffers with their slot views, the kernel workspaces, the shared
+    constants and the model's parameters (by position in ``params``)."""
+
+    __slots__ = ("program", "arena", "param_refs")
+
+    def __init__(self, program: _Program, params):
+        arena = [None] * program.n_arena
+        for slot, snapshot in program.consts:
+            arena[slot] = snapshot
+        flats = [np.empty(size, dtype=dtype)
+                 for size, dtype in program.flats]
+        for index, flat, size, shape in program.views:
+            arena[index] = flats[flat][:size].reshape(shape)
+        for index, layout in program.workspaces:
+            arena[index] = {name: flats[flat][:size].reshape(shape)
+                            for name, (flat, size, shape) in layout.items()}
+        self.program = program
+        self.arena = arena
+        self.param_refs = [(slot, params[position])
+                           for slot, position in program.param_slots]
+
     def replay(self, inputs):
+        program = self.program
         arena = self.arena
-        for slot, arr in zip(self.input_slots, inputs):
+        for slot, arr in zip(program.input_slots, inputs):
             arena[slot] = arr
         for slot, p in self.param_refs:
             arena[slot] = p.data
         if PROFILER.active:
             record = PROFILER.record
             clock = time.perf_counter
-            for name, run, allocs in self.schedule:
+            for name, run, allocs in program.schedule:
                 started = clock()
                 run(arena)
                 record(name, clock() - started, allocs)
         else:
-            for _, run, _ in self.schedule:
+            for _, run, _ in program.schedule:
                 run(arena)
         outputs = []
-        for ref in self.out_refs:
+        for ref in program.out_refs:
             if ref is None:
                 outputs.append(None)
                 continue
@@ -834,27 +930,69 @@ class _Plan:
         return outputs
 
 
+# -- the process-wide program cache --------------------------------------------
+
+#: Programs kept for reuse, least recently used first, keyed by
+#: :meth:`PlanFunction.program_key`.
+_PROGRAMS: OrderedDict = OrderedDict()
+_PROGRAMS_LOCK = threading.Lock()
+
+#: Bound on cached programs.  A DoppelGANger release uses about eight
+#: (d, g and w steps, generation blocks, two downstream MLPs).
+MAX_PROGRAMS = 64
+
+
+def _cached_program(key) -> _Program | None:
+    with _PROGRAMS_LOCK:
+        program = _PROGRAMS.get(key)
+        if program is not None:
+            _PROGRAMS.move_to_end(key)
+        return program
+
+
+def _store_program(key, program: _Program) -> None:
+    with _PROGRAMS_LOCK:
+        _PROGRAMS[key] = program
+        _PROGRAMS.move_to_end(key)
+        while len(_PROGRAMS) > MAX_PROGRAMS:
+            _PROGRAMS.popitem(last=False)
+
+
+def clear_program_cache() -> None:
+    """Drop every cached program; the next plan of each key traces."""
+    with _PROGRAMS_LOCK:
+        _PROGRAMS.clear()
+
+
 class PlanFunction:
     """Trace-and-replay wrapper around a fixed-shape array function.
 
     ``fn`` takes raw float64 ndarrays and returns a tuple of Tensors,
     ndarrays, or ``None``; a call always returns a list of
-    ndarrays/``None``.  One plan is compiled per input signature
+    ndarrays/``None``.  One plan is bound per input signature
     ``(shapes, dtypes)``; signatures beyond ``max_plans`` and
     anything the tracer rejects run eagerly forever.  ``params`` lists the
     Parameters whose ``.data`` must be re-read live on every replay.
 
+    ``key`` names what ``fn`` computes, independently of any one model:
+    two plans with equal keys, parameter shapes and input signatures
+    must trace the same schedule.  A keyed plan looks its program up in
+    the process-wide cache before tracing and only binds on a hit; a plan
+    without a key never shares.
+
     Thread-safe: traces serialize globally, replays serialize per
-    instance (each plan owns mutable buffers).
+    instance (each binding owns mutable buffers).
     """
 
     def __init__(self, fn, params=(), name: str = "plan",
-                 copy_outputs: bool = False, max_plans: int = 8):
+                 copy_outputs: bool = False, max_plans: int = 8,
+                 key=None):
         self.fn = fn
         self.params = list(params)
         self.name = name
         self.copy_outputs = copy_outputs
         self.max_plans = max_plans
+        self.key = key
         self._plans: dict = {}
         self._lock = threading.Lock()
         self.stats = {"traces": 0, "replays": 0, "eager_calls": 0,
@@ -863,45 +1001,63 @@ class PlanFunction:
     def signature(self, inputs) -> tuple:
         return tuple((a.shape, a.dtype.str) for a in inputs)
 
+    def program_key(self, inputs) -> tuple | None:
+        """The cache key of the program for ``inputs`` (``None`` when
+        this plan has no key)."""
+        if self.key is None:
+            return None
+        shapes = tuple((p.data.shape, p.data.dtype.str) for p in self.params)
+        return (self.key, shapes, self.signature(inputs), self.copy_outputs)
+
     def __call__(self, inputs):
         inputs = tuple(inputs)
         if not _PLAN_ENABLED:
             self.stats["eager_calls"] += 1
             return self._eager(inputs)
-        key = self.signature(inputs)
+        signature = self.signature(inputs)
         with self._lock:
-            entry = self._plans.get(key)
+            entry = self._plans.get(signature)
             if entry is None:
                 if len(self._plans) >= self.max_plans:
                     self.stats["eager_calls"] += 1
                     return self._eager(inputs)
-                plan, outputs = self._trace(inputs)
-                self._plans[key] = plan if plan is not None else "eager"
-                if plan is None:
-                    self.stats["fallbacks"] += 1
-                return outputs
+                key = self.program_key(inputs)
+                program = None if key is None else _cached_program(key)
+                if program is None:
+                    program, outputs = self._trace(inputs)
+                    if program is None:
+                        self._plans[signature] = "eager"
+                        self.stats["fallbacks"] += 1
+                    else:
+                        if key is not None:
+                            _store_program(key, program)
+                        self._plans[signature] = program.bind(self.params)
+                    return outputs
+                entry = self._plans[signature] = program.bind(self.params)
             if entry == "eager":
                 self.stats["eager_calls"] += 1
                 return self._eager(inputs)
             self.stats["replays"] += 1
             return entry.replay(inputs)
 
-    def _latest_plan(self):
+    def _latest_binding(self) -> _Binding | None:
         for entry in reversed(list(self._plans.values())):
             if entry != "eager":
                 return entry
         return None
 
     def allocs_per_replay(self) -> int | None:
-        """Allocation count of the most recently compiled plan, if any."""
-        plan = self._latest_plan()
-        return None if plan is None else plan.allocs_per_replay
+        """Allocation count of a replay of the most recent binding, if
+        any."""
+        binding = self._latest_binding()
+        return None if binding is None else binding.program.allocs_per_replay
 
     def arena_bytes(self) -> int | None:
-        """Bytes the most recently compiled plan preallocated (pooled slot
-        buffers, kernel workspaces and constant snapshots), if any."""
-        plan = self._latest_plan()
-        return None if plan is None else plan.arena_bytes
+        """Bytes the most recent binding's arena holds (its pooled slot
+        buffers and kernel workspaces, plus the program's constant
+        snapshots), if any."""
+        binding = self._latest_binding()
+        return None if binding is None else binding.program.arena_bytes
 
     def _eager(self, inputs):
         return _unwrap(self.fn(*inputs))
@@ -920,7 +1076,7 @@ class PlanFunction:
                 _ACTIVE.tracer = None
                 _unpatch_modules(saved)
         outputs = tuple(raw)
-        plan = None
+        program = None
         if tracer.failed is None:
             # Every input must be consumed by a recorded step (or returned
             # as-is): a dtype-coerced copy of an input would otherwise be
@@ -939,11 +1095,33 @@ class PlanFunction:
         tracer.keepalive.clear()
         if tracer.failed is None and tracer.steps:
             try:
-                plan = _Plan(_PlanBuilder(tracer, outputs,
-                                          self.copy_outputs))
+                program = _Program(_PlanBuilder(tracer, outputs,
+                                                self.copy_outputs))
             except PlanUnsupported:
-                plan = None
-        return plan, _unwrap(outputs)
+                program = None
+        return program, _unwrap(outputs)
+
+
+def method_plan(owner, attr: str, method, params, key=None,
+                copy_outputs: bool = False) -> PlanFunction:
+    """The :class:`PlanFunction` of ``owner.<attr>`` over the bound
+    ``method``, created on first use.
+
+    The plan reaches its owner only weakly: a strong reference would make
+    every owner that has run a plan a reference cycle that keeps its
+    arenas alive until a full garbage-collection pass.  With an owner
+    ``key`` (what the owner's architecture is, independently of its
+    weights) the plan shares programs under ``(method name, key)``.
+    """
+    plan = owner.__dict__.get(attr)
+    if plan is None:
+        weak = weakref.WeakMethod(method)
+        plan = PlanFunction(
+            lambda *inputs: weak()(*inputs), params=params,
+            name=attr.strip("_"), copy_outputs=copy_outputs,
+            key=None if key is None else (method.__qualname__, key))
+        owner.__dict__[attr] = plan
+    return plan
 
 
 def _unwrap(outputs):

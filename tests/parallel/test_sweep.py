@@ -244,6 +244,34 @@ class TestDecodedModels:
             _assert_same_generation(model.generate(8), loaded.generate(8))
 
 
+class TestSerialSweepKeepsOneCopy:
+    """A cell trained inline leaves its model in the harness memo; the
+    process keeps only the copy decoded from the cell's archive."""
+
+    def test_memo_holds_the_decoded_model(self):
+        from repro.experiments import harness
+
+        result = run_sweep(["gcut"], ["dg"], scale=TINY, verbose=False)
+        memo = [harness._MODELS[key] for key in harness._MODELS.keys()]
+        assert len(memo) == 1
+        assert memo[0] is result.models[("gcut", "dg")]
+
+    def test_repeated_serial_sweep_does_not_retrain(self, monkeypatch):
+        from repro.core import DoppelGANger
+
+        first = run_sweep(["gcut"], ["dg"], scale=TINY, verbose=False)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the memoised cell was retrained")
+
+        monkeypatch.setattr(DoppelGANger, "fit", refuse)
+        second = run_sweep(["gcut"], ["dg"], scale=TINY, verbose=False)
+        assert not second.failures
+        backend = get_backend("dg")
+        assert backend.save_bytes(second.models[("gcut", "dg")]) == \
+            backend.save_bytes(first.models[("gcut", "dg")])
+
+
 class TestTimings:
     def test_inline_sweep_records_timings(self):
         result = run_sweep(["gcut"], ["hmm"], scale=TINY, verbose=False)
