@@ -49,17 +49,16 @@ __all__ = ["FitOptions", "TrainingHistory", "AdversarialLoop",
            "MLPGANLoop", "architecture_key"]
 
 
-def architecture_key(config: dict, schema, *parts) -> str:
+def architecture_key(config: dict, schema) -> str:
     """A digest of what a model's step functions compute: its ``config``
-    dict minus the seed and iteration count (which no step reads), its
-    ``schema`` (which fixes the output-activation layout), and any
-    further JSON-able ``parts``."""
+    dict minus the seed and iteration count (which no step reads) and its
+    ``schema`` (which fixes the output-activation layout)."""
     from repro.data.schema import schema_to_dict
     from repro.resilience.atomic import canonical_json
 
     config = {k: v for k, v in config.items()
               if k not in ("seed", "iterations")}
-    text = canonical_json([config, schema_to_dict(schema), list(parts)])
+    text = canonical_json([config, schema_to_dict(schema)])
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -19,20 +19,19 @@ replaying the recorded op schedule afterwards:
    time, the *backward* pass is captured by the same shims -- the plan
    covers forward, loss, and gradients in one schedule.
 2. **Replay** -- subsequent calls with the same signature execute the
-   recorded schedule directly against a preallocated arena (the
-   program's *binding*, below): in-place
-   ``out=`` ufunc and BLAS calls, no Tensor/tape construction, no per-step
-   allocation.  Every replay expression is chosen to be **bit-identical**
-   to its eager counterpart (verified property-by-property in
-   ``tests/nn/test_plan.py``), so compiled and eager runs produce the same
-   bytes.
+   recorded schedule directly against a preallocated arena (a program's
+   *binding*, below): in-place ``out=`` ufunc and BLAS calls, no
+   Tensor/tape construction, no per-step allocation.  Every replay
+   expression is chosen to be **bit-identical** to its eager counterpart
+   (verified property-by-property in ``tests/nn/test_plan.py``), so
+   compiled and eager runs produce the same bytes.
 3. **Fallback** -- any new input signature (shape/dtype change) binds
-   its cached program or traces anew; anything the tracer cannot prove safe (unconsumed inputs,
-   aliased outputs, too many signatures) permanently falls back to eager
-   execution for that signature.  Correctness never depends on the plan:
-   the trace itself *is* an eager run.  ``with plan_mode(False):`` runs
-   every call eagerly, which is how the tests check replay against the
-   eager tape.
+   its cached program or traces anew; anything the tracer cannot prove
+   safe (unconsumed inputs, aliased outputs, too many signatures)
+   permanently falls back to eager execution for that signature.
+   Correctness never depends on the plan: the trace itself *is* an eager
+   run.  ``with plan_mode(False):`` runs every call eagerly, which is how
+   the tests check replay against the eager tape.
 
 Tracing rules (what the shims record):
 
@@ -72,7 +71,7 @@ Building a program (``_PlanBuilder``):
 
 Programs and bindings:
 
-- A **program** (``_Program``) is the kept steps, their run closures,
+- A **program** (``_Program``) is the run closures of the kept steps,
   the arena layout (slot views and kernel workspaces over the pooled
   flat buffers) and the frozen constants.  Every closure reads and
   writes only ``arena[i]``, so a program belongs to no model.
@@ -488,7 +487,7 @@ class _PlanBuilder:
             refs.append((slot, copy_outputs or root in protected))
         return refs
 
-    # buffer layout ------------------------------------------------------------
+    # buffer layout ---------------------------------------------------------
     def _take(self, shape, dtype) -> int:
         """The flat buffer serving a contiguous ``shape``: the smallest free
         pooled buffer of that dtype that is large enough (and at most
@@ -930,7 +929,7 @@ class _Binding:
         return outputs
 
 
-# -- the process-wide program cache --------------------------------------------
+# -- the process-wide program cache -------------------------------------------
 
 #: Programs kept for reuse, least recently used first, keyed by
 #: :meth:`PlanFunction.program_key`.
