@@ -850,7 +850,7 @@ class _Program:
 
     Holds no buffers and no parameters, so one program serves every
     model whose owner key, parameter shapes, input signature and output
-    copying match; :meth:`bind` gives one model its own arena.
+    copying match; a :class:`_Binding` gives one model its own arena.
     ``consts`` are the frozen ``(slot, array)`` snapshots every binding
     reads (never writes).  The trace records are not kept.
     """
@@ -873,9 +873,6 @@ class _Program:
         self.allocs_per_replay = (
             sum(allocs for _, _, allocs in self.schedule)
             + sum(1 for ref in self.out_refs if ref is not None and ref[1]))
-
-    def bind(self, params) -> "_Binding":
-        return _Binding(self, params)
 
 
 class _Binding:
@@ -1030,9 +1027,11 @@ class PlanFunction:
                     else:
                         if key is not None:
                             _store_program(key, program)
-                        self._plans[signature] = program.bind(self.params)
+                        self._plans[signature] = _Binding(program,
+                                                          self.params)
                     return outputs
-                entry = self._plans[signature] = program.bind(self.params)
+                entry = self._plans[signature] = _Binding(program,
+                                                          self.params)
             if entry == "eager":
                 self.stats["eager_calls"] += 1
                 return self._eager(inputs)
