@@ -188,7 +188,11 @@ class MinMaxGenerator(Module):
         return self.activation(self.mlp(ops.concat([attributes, z], axis=1)))
 
     def sample_noise(self, batch: int, rng: np.random.Generator) -> Tensor:
-        return Tensor(rng.normal(size=(batch, self.noise_dim)))
+        # Drawn whatever the width, so the stream does not depend on the
+        # config; without min/max outputs nothing reads it, and the
+        # zero-width view tells compiled plans so.
+        z = rng.normal(size=(batch, self.noise_dim))
+        return Tensor(z if self.minmax_dim else z[:, :0])
 
 
 class FeatureGenerator(Module):

@@ -106,6 +106,7 @@ are always copied so in-place consumers cannot corrupt the program.
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 import time
 import weakref
@@ -938,6 +939,25 @@ _PROGRAMS_LOCK = threading.Lock()
 MAX_PROGRAMS = 64
 
 
+def _hold_plan_locks() -> None:
+    _TRACE_LOCK.acquire()
+    _PROGRAMS_LOCK.acquire()
+
+
+def _release_plan_locks() -> None:
+    _PROGRAMS_LOCK.release()
+    _TRACE_LOCK.release()
+
+
+# Held across every fork, so no forked child (pool worker, fleet replica,
+# downstream suite) starts with a plan lock that a thread it does not have
+# held at fork time.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_hold_plan_locks,
+                        after_in_parent=_release_plan_locks,
+                        after_in_child=_release_plan_locks)
+
+
 def _cached_program(key) -> _Program | None:
     with _PROGRAMS_LOCK:
         program = _PROGRAMS.get(key)
@@ -1078,16 +1098,23 @@ class PlanFunction:
         if tracer.failed is None:
             # Every input must be consumed by a recorded step (or returned
             # as-is): a dtype-coerced copy of an input would otherwise be
-            # baked into the plan as a stale constant.
+            # baked into the plan as a stale constant.  A zero-size input
+            # holds no values that could go stale.
             returned_slots = {
                 tracer.slot_of.get(id(o.data if isinstance(o, Tensor)
                                       else o))
                 for o in outputs if o is not None}
-            unconsumed = [s for s in tracer.input_slots
-                          if s not in tracer.used_slots
+            unconsumed = [s for s, arr in zip(tracer.input_slots, inputs)
+                          if arr.size and s not in tracer.used_slots
                           and s not in returned_slots]
             if unconsumed:
                 tracer.fail("input array never consumed by a recorded step")
+            # Nor does a zero-size output that no step produced (an absent
+            # optional part): it replays as a constant.
+            for o in outputs:
+                if o is not None and np.size(o.data if isinstance(o, Tensor)
+                                             else o) == 0:
+                    tracer._ref_of(o)
         # The eager intermediates only kept array ids unique while tracing;
         # release them before the arena is allocated.
         tracer.keepalive.clear()

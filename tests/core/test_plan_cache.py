@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import multiprocessing
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -361,6 +363,51 @@ class TestThreads:
         for t in threads:
             t.join()
         assert results == serial
+
+
+class TestFork:
+    """A plan lock that another thread holds when this process forks is
+    free in the child."""
+
+    @pytest.mark.parametrize("lock, key", [
+        ("_PROGRAMS_LOCK", "cached"),   # the child binds a cached program
+        ("_TRACE_LOCK", "fresh"),       # the child traces a new one
+    ])
+    def test_child_plans_while_a_thread_holds_a_lock(self, lock, key):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
+        x = np.arange(6.0).reshape(2, 3)
+
+        def double(x):
+            return (Tensor(x) * 2.0,)
+
+        PlanFunction(double, key="cached")((x,))
+        held = threading.Event()
+
+        def hold():
+            with getattr(plan_module, lock):
+                held.set()
+                time.sleep(0.3)
+
+        def child():
+            plan = PlanFunction(double, key=key)
+            out = plan((x,))
+            expected = {"cached": 0, "fresh": 1}[key]
+            assert np.array_equal(out[0], 2.0 * x)
+            assert plan.stats["traces"] == expected
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait()
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        holder.join(10)
+        process.join(30)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail(f"the child blocked on {lock}")
+        assert process.exitcode == 0
 
 
 class TestNoLeak:

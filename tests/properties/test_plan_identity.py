@@ -26,10 +26,10 @@ def _dataset(name):
     return sims.generate_mba(48, rng, length=12)
 
 
-def _train_and_generate(dataset, compiled: bool):
+def _train_and_generate(dataset, compiled: bool, **overrides):
     with plan_mode(compiled):
-        model = DoppelGANger(dataset.schema,
-                             tiny_dg_config(iterations=3, batch_size=12))
+        model = DoppelGANger(dataset.schema, tiny_dg_config(
+            **{"iterations": 3, "batch_size": 12, **overrides}))
         history = model.fit(dataset, log_every=1)
         out = model.generate_encoded(20, rng=np.random.default_rng(9))
     params = [p.data.copy() for p in
@@ -57,6 +57,24 @@ class TestCompiledEqualsEager:
         d_plan = model_c.trainer.__dict__.get("_d_plan")
         assert d_plan is not None and d_plan.stats["replays"] >= 1
         assert d_plan.stats["fallbacks"] == 0
+
+    def test_without_the_minmax_generator_every_step_replays(self):
+        """The zero-width min/max inputs and outputs hold no values, so
+        they do not push the steps back to the eager tape."""
+        dataset = _dataset("wwt")
+        model_c, hist_c, out_c, params_c = _train_and_generate(
+            dataset, compiled=True, use_minmax_generator=False)
+        _, hist_e, out_e, params_e = _train_and_generate(
+            dataset, compiled=False, use_minmax_generator=False)
+        assert hist_c.d_loss == hist_e.d_loss
+        assert hist_c.g_loss == hist_e.g_loss
+        for pc, pe in zip(params_c, params_e):
+            assert np.array_equal(pc, pe)
+        for ac, ae in zip(out_c, out_e):
+            assert np.array_equal(ac, ae)
+        for name in ("_d_plan", "_g_plan", "_w_plan"):
+            stats = model_c.trainer.__dict__[name].stats
+            assert stats["fallbacks"] == 0 and stats["replays"] > 0, name
 
     def test_conditioned_generation_bitwise(self):
         dataset = _dataset("gcut")
