@@ -303,6 +303,10 @@ class DoppelGANger:
         model = cls(schema, config_from_dict(config))
         model.encoder.load_state(encoder_state)
         model._build()
+        # The build drew placeholder weights (the archive overwrites them);
+        # rng-less draws start from the configured seed, as on every
+        # other backend.
+        model._rng = np.random.default_rng(model.config.seed)
         return model
 
     def save(self, path) -> None:
