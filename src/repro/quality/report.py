@@ -40,6 +40,8 @@ mean with NaN.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.metrics import (autocorrelation_mse, average_autocorrelation,
                            wasserstein1)
 from repro.observability import events as obs_events
 from repro.observability import metrics as obs_metrics
+from repro.parallel.pool import mp_context, start_method
 from repro.resilience.atomic import canonical_json
 
 __all__ = ["QualityReport", "PropertyScore", "clamp01"]
@@ -412,27 +415,22 @@ class QualityReport:
         if len(np.unique(y_syn)) < 2 or len(np.unique(y_real)) < 2:
             return (f"attribute {attribute!r} has fewer than two classes "
                     f"in the training data")
-        tstr, trtr, per_model = [], [], {}
-        for model_syn, model_real in zip(
-                default_classifiers(seed=self.seed,
-                                    mlp_iterations=mlp_iterations),
-                default_classifiers(seed=self.seed,
-                                    mlp_iterations=mlp_iterations)):
-            syn_acc = accuracy(model_syn.fit(x_syn, y_syn), x_test, y_test)
-            real_acc = accuracy(model_real.fit(x_real, y_real),
-                                x_test, y_test)
-            per_model[model_syn.name] = {"tstr": float(syn_acc),
-                                         "trtr": float(real_acc)}
-            tstr.append(syn_acc)
-            trtr.append(real_acc)
+        models = default_classifiers(seed=self.seed,
+                                     mlp_iterations=mlp_iterations)
+        tstr, trtr = _tstr_and_trtr(
+            (models, x_syn, y_syn, x_test, y_test, accuracy),
+            (default_classifiers(seed=self.seed,
+                                 mlp_iterations=mlp_iterations),
+             x_real, y_real, x_test, y_test, accuracy))
+        per_model = {model.name: {"tstr": float(syn), "trtr": float(rel)}
+                     for model, syn, rel in zip(models, tstr, trtr)}
         return self._transfer_score("classification", attribute,
                                     float(np.mean(tstr)),
                                     float(np.mean(trtr)), per_model)
 
     def _downstream_regression(self, real, synthetic, test, feature,
                                mlp_iterations):
-        from repro.downstream import (default_regressors,
-                                      forecasting_arrays, r2_score)
+        from repro.downstream import default_regressors, forecasting_arrays
 
         history = max(real.schema.max_length // 2, 1)
         horizon = max(real.schema.max_length - history, 1)
@@ -443,23 +441,19 @@ class QualityReport:
         x_real, y_real = featurize(real)
         x_syn, y_syn = featurize(synthetic)
         x_test, y_test = featurize(test)
-        tstr, trtr, per_model = [], [], {}
-        for model_syn, model_real in zip(
-                default_regressors(seed=self.seed,
-                                   mlp_iterations=mlp_iterations),
-                default_regressors(seed=self.seed,
-                                   mlp_iterations=mlp_iterations)):
-            model_syn.fit(x_syn, y_syn)
-            model_real.fit(x_real, y_real)
-            syn_r2 = r2_score(y_test, model_syn.predict(x_test))
-            real_r2 = r2_score(y_test, model_real.predict(x_test))
-            per_model[model_syn.name] = {"tstr": float(syn_r2),
-                                         "trtr": float(real_r2)}
-            tstr.append(clamp01(syn_r2))
-            trtr.append(clamp01(real_r2))
-        return self._transfer_score("regression", feature,
-                                    float(np.mean(tstr)),
-                                    float(np.mean(trtr)), per_model)
+        models = default_regressors(seed=self.seed,
+                                    mlp_iterations=mlp_iterations)
+        tstr, trtr = _tstr_and_trtr(
+            (models, x_syn, y_syn, x_test, y_test, _r2),
+            (default_regressors(seed=self.seed,
+                                mlp_iterations=mlp_iterations),
+             x_real, y_real, x_test, y_test, _r2))
+        per_model = {model.name: {"tstr": float(syn), "trtr": float(rel)}
+                     for model, syn, rel in zip(models, tstr, trtr)}
+        return self._transfer_score(
+            "regression", feature,
+            float(np.mean([clamp01(r2) for r2 in tstr])),
+            float(np.mean([clamp01(r2) for r2 in trtr])), per_model)
 
     def _transfer_score(self, task, target, tstr, trtr, per_model):
         # TRTR at or below zero means even real data can't solve the
@@ -536,6 +530,80 @@ class QualityReport:
                       for s in self.skipped]
             lines.append("")
         return "\n".join(lines)
+
+
+
+# -- the downstream suites ---------------------------------------------------
+
+def _suite_scores(models, x_train, y_train, x_test, y_test,
+                  score) -> np.ndarray:
+    """Fit every model of one downstream suite on the training side and
+    score it on the test side: a float64 vector in suite order."""
+    return np.array([score(model.fit(x_train, y_train), x_test, y_test)
+                     for model in models], dtype=np.float64)
+
+
+def _r2(model, x, y) -> float:
+    from repro.downstream import r2_score
+    return r2_score(y, model.predict(x))
+
+
+def _side_by_side() -> bool:
+    """Whether the TRTR suite may fit in a forked child next to TSTR."""
+    if start_method() != "fork" or multiprocessing.current_process().daemon:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _suite_child(send, suite_args) -> None:
+    try:
+        reply = b"V" + _suite_scores(*suite_args).tobytes()
+    except Exception as exc:
+        reply = b"E" + f"{type(exc).__name__}: {exc}".encode()
+    send.send_bytes(reply)
+    send.close()
+
+
+def _tstr_and_trtr(tstr_args, trtr_args) -> tuple[np.ndarray, np.ndarray]:
+    """The TSTR and TRTR score vectors of :func:`_suite_scores`.
+
+    The TRTR suite fits in one forked child while this process fits the
+    TSTR suite; a one-way pipe carries back the vector's bytes or the
+    child's error text (no pickle, and the child emits no telemetry).
+    Each suite's models seed themselves and share no state, so the
+    vectors are the bytes an inline run gives.  Both suites run inline,
+    TSTR first, when the start method is not ``fork``, the process may
+    use fewer than two CPUs, or it is daemonic (it may not have
+    children).
+    """
+    if not _side_by_side():
+        return _suite_scores(*tstr_args), _suite_scores(*trtr_args)
+    context = mp_context()
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_suite_child, args=(send, trtr_args))
+    child.start()
+    send.close()
+    reply = None
+    try:
+        tstr = _suite_scores(*tstr_args)
+        try:
+            reply = receive.recv_bytes()
+        except EOFError:
+            reply = b""
+    finally:
+        if reply is None:  # the TSTR suite raised
+            child.terminate()
+        child.join()
+        receive.close()
+    if reply[:1] == b"V":
+        return tstr, np.frombuffer(reply[1:], dtype=np.float64)
+    if reply[:1] == b"E":
+        raise RuntimeError(f"TRTR downstream suite failed: "
+                           f"{reply[1:].decode()}")
+    raise RuntimeError(f"TRTR downstream suite exited with code "
+                       f"{child.exitcode} before replying")
 
 
 def _detail_rows(details: dict, prefix: str = "") -> list[tuple[str, object]]:
