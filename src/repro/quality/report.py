@@ -532,7 +532,6 @@ class QualityReport:
         return "\n".join(lines)
 
 
-
 # -- the downstream suites ---------------------------------------------------
 
 def _suite_scores(models, x_train, y_train, x_test, y_test,
@@ -593,7 +592,7 @@ def _tstr_and_trtr(tstr_args, trtr_args) -> tuple[np.ndarray, np.ndarray]:
         except EOFError:
             reply = b""
     finally:
-        if reply is None:  # the TSTR suite raised
+        if reply is None:  # this process raised: stop the child
             child.terminate()
         child.join()
         receive.close()
